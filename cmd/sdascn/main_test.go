@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -196,5 +199,54 @@ func TestChurnPreset(t *testing.T) {
 	}
 	if out1 == out3 {
 		t.Error("churn preset ignored the seed")
+	}
+}
+
+// TestGoldenPresetCommands runs the command stored with every scenario
+// preset golden and requires the CSV written by -out to match the
+// committed hash, so the in-process corpus and the CLI agree byte for
+// byte. The corpus is pinned on amd64 (see the root golden_test.go).
+func TestGoldenPresetCommands(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden CSVs are pinned on amd64: Go fuses multiply-add into FMA on %s", runtime.GOARCH)
+	}
+	files, err := filepath.Glob("../../testdata/golden/preset-*.sha256")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no preset goldens found (%v)", err)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cmd, sum, csvName string
+		for _, line := range strings.Split(string(data), "\n") {
+			switch {
+			case strings.HasPrefix(line, "# command: sdascn "):
+				cmd = strings.TrimPrefix(line, "# command: sdascn ")
+			case line != "" && !strings.HasPrefix(line, "#"):
+				sum, csvName, _ = strings.Cut(line, "  ")
+			}
+		}
+		if cmd == "" || sum == "" {
+			t.Fatalf("%s: missing command or hash line", f)
+		}
+		args := strings.Fields(cmd)
+		for i := range args {
+			if args[i] == csvName {
+				args[i] = filepath.Join(dir, csvName)
+			}
+		}
+		if _, _, err := runCmd(t, args...); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		csv, err := os.ReadFile(filepath.Join(dir, csvName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256.Sum256(csv); hex.EncodeToString(got[:]) != sum {
+			t.Errorf("%s: sdascn %s wrote a CSV with a different hash", f, cmd)
+		}
 	}
 }

@@ -52,13 +52,13 @@ const gapBatch = 8
 // RNG layout: by default (gap == nil) every draw of the source — gap,
 // thinning accept, and the arrival's body draws — interleaves on the one
 // stream r, in exact arrival order; this is the historical layout and
-// its results are frozen by the golden files. With a dedicated gap
+// its results are pinned by the corpus in testdata/golden/. With a dedicated gap
 // stream (the split layout), gap draws move to their own substream and
 // are pre-drawn gapBatch at a time, which batches the per-candidate
 // draw overhead without perturbing the body draws' stream. The two
 // layouts produce different (equally valid) sample paths, which is why
 // the split layout sits behind an explicit configuration knob with its
-// own golden files.
+// own reference outputs (none are committed).
 type arrivals struct {
 	eng       *sim.Engine
 	r         *rng.Source

@@ -61,7 +61,7 @@ type LocalParams struct {
 	// Gap optionally moves the inter-arrival gap draws to their own
 	// dedicated substream (the split RNG layout), enabling batched
 	// draws; nil interleaves gaps with the body draws on the source's
-	// main stream, the historical layout the golden files freeze.
+	// main stream, the historical layout testdata/golden/ pins.
 	Gap *rng.Source
 	// Pool optionally recycles retired tasks instead of allocating a
 	// fresh Task per arrival. Nil allocates; results are identical
