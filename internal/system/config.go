@@ -159,6 +159,21 @@ func PSPBaseline() Config {
 // Validate checks the configuration and returns a descriptive error for
 // the first problem found.
 func (c *Config) Validate() error {
+	// NaN fails every ordered comparison below, so finiteness is checked
+	// first and explicitly.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"MuSubtask", c.MuSubtask}, {"MuLocal", c.MuLocal}, {"Load", c.Load},
+		{"FracLocal", c.FracLocal}, {"SlackMin", c.SlackMin}, {"SlackMax", c.SlackMax},
+		{"RelFlex", c.RelFlex}, {"PexRelErr", c.PexRelErr}, {"Horizon", c.Horizon},
+		{"Warmup", c.Warmup},
+	} {
+		if !isFinite(f.v) {
+			return fmt.Errorf("system: %s = %v, want a finite value", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("system: Nodes = %d, want > 0", c.Nodes)
@@ -174,8 +189,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("system: RelFlex = %v, want >= 0", c.RelFlex)
 	case c.PexRelErr < 0:
 		return fmt.Errorf("system: PexRelErr = %v, want >= 0", c.PexRelErr)
-	case c.Horizon <= 0 || math.IsInf(c.Horizon, 0):
-		return fmt.Errorf("system: Horizon = %v, want positive and finite", c.Horizon)
+	case c.Horizon <= 0:
+		return fmt.Errorf("system: Horizon = %v, want > 0", c.Horizon)
 	case c.Warmup < 0 || c.Warmup >= c.Horizon:
 		return fmt.Errorf("system: Warmup = %v, want within [0, Horizon)", c.Warmup)
 	case c.TardyAbort && c.FirmAbort:
@@ -195,13 +210,13 @@ func (c *Config) Validate() error {
 		}
 		sum := 0.0
 		for _, m := range c.LocalRateMultipliers {
-			if m < 0 {
-				return fmt.Errorf("system: negative rate multiplier %v", m)
+			if m < 0 || !isFinite(m) {
+				return fmt.Errorf("system: rate multiplier %v, want finite and >= 0", m)
 			}
 			sum += m
 		}
-		if sum == 0 {
-			return fmt.Errorf("system: rate multipliers sum to zero")
+		if sum == 0 || !isFinite(sum) {
+			return fmt.Errorf("system: rate multipliers sum to %v, want positive and finite", sum)
 		}
 	}
 	if _, err := core.SerialByName(c.SSP); err != nil {
@@ -226,6 +241,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// isFinite reports whether v is neither NaN nor infinite.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // shape returns the configured shape or the default serial one. The
 // scenario's demand override applies only to the default shape; an

@@ -47,6 +47,28 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{name: "zero multipliers", mut: func(c *Config) {
 			c.LocalRateMultipliers = []float64{0, 0, 0, 0, 0, 0}
 		}},
+		// NaN slips through every ordered comparison; each float field
+		// needs an explicit finiteness check.
+		{name: "NaN load", mut: func(c *Config) { c.Load = math.NaN() }},
+		{name: "NaN mu local", mut: func(c *Config) { c.MuLocal = math.NaN() }},
+		{name: "NaN mu subtask", mut: func(c *Config) { c.MuSubtask = math.NaN() }},
+		{name: "infinite mu subtask", mut: func(c *Config) { c.MuSubtask = math.Inf(1) }},
+		{name: "NaN slack min", mut: func(c *Config) { c.SlackMin = math.NaN() }},
+		{name: "infinite slack max", mut: func(c *Config) { c.SlackMax = math.Inf(1) }},
+		{name: "NaN rel_flex", mut: func(c *Config) { c.RelFlex = math.NaN() }},
+		{name: "NaN pex err", mut: func(c *Config) { c.PexRelErr = math.NaN() }},
+		{name: "NaN horizon", mut: func(c *Config) { c.Horizon = math.NaN() }},
+		{name: "NaN warmup", mut: func(c *Config) { c.Warmup = math.NaN() }},
+		{name: "NaN frac_local", mut: func(c *Config) { c.FracLocal = math.NaN() }},
+		{name: "NaN multiplier", mut: func(c *Config) {
+			c.LocalRateMultipliers = []float64{1, 1, 1, 1, 1, math.NaN()}
+		}},
+		{name: "infinite multiplier", mut: func(c *Config) {
+			c.LocalRateMultipliers = []float64{1, 1, 1, 1, 1, math.Inf(1)}
+		}},
+		{name: "multiplier sum overflows", mut: func(c *Config) {
+			c.LocalRateMultipliers = []float64{math.MaxFloat64, math.MaxFloat64, 1, 1, 1, 1}
+		}},
 	}
 	for _, tt := range mutations {
 		t.Run(tt.name, func(t *testing.T) {
