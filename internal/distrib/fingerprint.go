@@ -22,8 +22,8 @@ type fingerprintEnvelope struct {
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.
-// That includes knobs like EventQueue, DisablePooling, and RNGLayout
-// whose alternatives are provably (or by-test) byte-identical: the
+// That includes knobs like EventQueue and DisablePooling whose
+// alternatives are provably (or by-test) byte-identical: the
 // cache trades a few redundant misses for zero risk of serving results
 // across a semantic boundary.
 //

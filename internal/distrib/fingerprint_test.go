@@ -58,8 +58,8 @@ func TestConfigFingerprintStable(t *testing.T) {
 }
 
 // TestConfigFingerprintSensitivity: every knob change — including ones
-// like EventQueue, DisablePooling, and RNGLayout whose alternatives
-// produce byte-identical results — must move the hash.
+// like EventQueue and DisablePooling whose alternatives produce
+// byte-identical results — must move the hash.
 func TestConfigFingerprintSensitivity(t *testing.T) {
 	base := shortCfg(2000)
 	ref, err := ConfigFingerprint(base)
@@ -79,7 +79,6 @@ func TestConfigFingerprintSensitivity(t *testing.T) {
 		"Horizon":        func(c *system.Config) { c.Horizon += 1 },
 		"Warmup":         func(c *system.Config) { c.Warmup += 1 },
 		"TardyAbort":     func(c *system.Config) { c.TardyAbort = !c.TardyAbort },
-		"RNGLayout":      func(c *system.Config) { c.RNGLayout = system.RNGSplit },
 		"EventQueue":     func(c *system.Config) { c.EventQueue = sim.QueueLadder },
 		"DisablePooling": func(c *system.Config) { c.DisablePooling = true },
 		"Scenario":       func(c *system.Config) { c.Scenario = sc },

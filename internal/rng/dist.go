@@ -22,21 +22,6 @@ func (r *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-r.Float64())
 }
 
-// ExponentialFill fills dst with independent exponential variates of the
-// given mean, drawn in sequence order — dst[0] consumes the stream
-// first. It is the batched form of Exponential for callers that own a
-// dedicated stream (the split RNG layout's gap substreams): one call
-// amortizes the function-call overhead across the batch. It panics if
-// mean <= 0.
-func (r *Source) ExponentialFill(dst []float64, mean float64) {
-	if mean <= 0 {
-		panic("rng: ExponentialFill called with mean <= 0")
-	}
-	for i := range dst {
-		dst[i] = -mean * math.Log(1-r.Float64())
-	}
-}
-
 // Erlang returns an Erlang-k distributed value: the sum of k independent
 // exponentials each with mean stageMean. The paper notes that the total
 // execution time of an m-stage global task is m-stage Erlang.

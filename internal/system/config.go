@@ -100,14 +100,6 @@ type Config struct {
 	// Every choice pops events in the same (time, seq) order, so results
 	// are byte-identical; only speed differs with topology size.
 	EventQueue sim.QueueKind
-	// RNGLayout selects how each workload source lays its draws onto RNG
-	// substreams. "" or "interleaved" (the default) keeps gap and body
-	// draws interleaved on one stream per source — the historical layout
-	// whose results testdata/golden/ pins. "split" moves every
-	// source's inter-arrival gap draws to a dedicated substream
-	// ("local-<i>-gap", "global-gap") where they are drawn in batches;
-	// a different, equally valid sample path with no committed reference.
-	RNGLayout string
 	// Seed seeds every random stream of the run.
 	Seed uint64
 	// Trace optionally records per-task lifecycle events (submit,
@@ -116,15 +108,6 @@ type Config struct {
 	// overhead.
 	Trace *trace.Recorder
 }
-
-// RNGLayout values accepted by Config.RNGLayout.
-const (
-	// RNGInterleaved is the default layout: one stream per source.
-	RNGInterleaved = "interleaved"
-	// RNGSplit gives each source a dedicated gap substream with batched
-	// draws.
-	RNGSplit = "split"
-)
 
 // Baseline returns Table 1's parameter setting with a test-friendly
 // horizon (override Horizon for paper-scale runs).
@@ -195,11 +178,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("system: Warmup = %v, want within [0, Horizon)", c.Warmup)
 	case c.TardyAbort && c.FirmAbort:
 		return fmt.Errorf("system: TardyAbort and FirmAbort are mutually exclusive")
-	}
-	switch c.RNGLayout {
-	case "", RNGInterleaved, RNGSplit:
-	default:
-		return fmt.Errorf("system: RNGLayout = %q, want %q or %q", c.RNGLayout, RNGInterleaved, RNGSplit)
 	}
 	if c.Shape == nil && c.M <= 0 && c.FracLocal < 1 {
 		return fmt.Errorf("system: M = %d, want > 0 for the default serial shape", c.M)

@@ -59,22 +59,17 @@ type Workspace struct {
 
 	fleet     *workload.LocalFleet
 	localHash []uint64 // cached rng.StreamHash("local-<i>")
-	gapHash   []uint64 // cached rng.StreamHash("local-<i>-gap")
 	global    workload.GlobalSource
 	globalRng rng.Source
-	globalGap rng.Source  // split-layout gap substream for the global source
 	srcEng    *sim.Engine // engine the warm sources are registered on
 }
 
 // NewWorkspace returns an empty workspace; the first run populates it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// globalStreamHash and globalGapHash are the global source's stream
-// hashes, hoisted so warm runs reseed without re-hashing the labels.
-var (
-	globalStreamHash = rng.StreamHash("global")
-	globalGapHash    = rng.StreamHash("global-gap")
-)
+// globalStreamHash is the global source's stream hash, hoisted so warm
+// runs reseed without re-hashing the label.
+var globalStreamHash = rng.StreamHash("global")
 
 // runEnv is the per-run mutable state behind a workspace's stable
 // callbacks: the metrics, manager, and node group of the current
@@ -356,25 +351,17 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 			ws.localHash[i] = rng.StreamHashParts("local-", uint64(i), "")
 		}
 	}
-	split := cfg.RNGLayout == RNGSplit
-	if split && len(ws.gapHash) != cfg.Nodes {
-		ws.gapHash = make([]uint64, cfg.Nodes)
-		for i := range ws.gapHash {
-			ws.gapHash[i] = rng.StreamHashParts("local-", uint64(i), "-gap")
-		}
-	}
 
 	// Local streams: one fleet, one substream per node. Rate multipliers
 	// skew per-node load while preserving the total.
 	if err := ws.fleet.Configure(cfg.Nodes, workload.FleetParams{
-		MeanExec:  1 / cfg.MuLocal,
-		SlackMin:  cfg.SlackMin,
-		SlackMax:  cfg.SlackMax,
-		Pex:       workload.PexModel{RelErr: cfg.PexRelErr},
-		Demand:    cfg.scenarioDemand(),
-		Mod:       cfg.scenarioMod(),
-		SplitGaps: split,
-		Pool:      pool,
+		MeanExec: 1 / cfg.MuLocal,
+		SlackMin: cfg.SlackMin,
+		SlackMax: cfg.SlackMax,
+		Pex:      workload.PexModel{RelErr: cfg.PexRelErr},
+		Demand:   cfg.scenarioDemand(),
+		Mod:      cfg.scenarioMod(),
+		Pool:     pool,
 	}, nextID, nextSeq, ws.submit); err != nil {
 		return nil, err
 	}
@@ -393,9 +380,6 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		if err := ws.fleet.SeedNode(i, rate, cfg.Seed, ws.localHash[i]); err != nil {
 			return nil, err
 		}
-		if split {
-			ws.fleet.SeedNodeGap(i, cfg.Seed, ws.gapHash[i])
-		}
 	}
 	ws.fleet.Start()
 
@@ -412,10 +396,6 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 			GraphPool:     graphs,
 		}
 		ws.globalRng.ReseedStream(cfg.Seed, globalStreamHash)
-		if split {
-			ws.globalGap.ReseedStream(cfg.Seed, globalGapHash)
-			params.Gap = &ws.globalGap
-		}
 		if err := ws.global.Reconfigure(&ws.globalRng, cfg.Nodes, params, ws.onGlobal); err != nil {
 			return nil, err
 		}

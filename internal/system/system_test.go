@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{name: "bad SSP", mut: func(c *Config) { c.SSP = "nope" }},
 		{name: "bad PSP", mut: func(c *Config) { c.PSP = "nope" }},
 		{name: "bad scheduler", mut: func(c *Config) { c.Scheduler = sched.Policy("??") }},
-		{name: "bad rng layout", mut: func(c *Config) { c.RNGLayout = "scrambled" }},
 		{name: "multiplier count", mut: func(c *Config) { c.LocalRateMultipliers = []float64{1, 2} }},
 		{name: "negative multiplier", mut: func(c *Config) {
 			c.LocalRateMultipliers = []float64{1, 1, 1, 1, 1, -1}
@@ -107,33 +107,50 @@ func TestDeriveRates(t *testing.T) {
 	}
 }
 
+// runSig fingerprints one run for exact comparison: counts, miss
+// ratios, and the accumulated response/tardiness moments.
+func runSig(m *Metrics) string {
+	return fmt.Sprintf("%d %d %d %d %d %d %v %v %v %v %v",
+		m.LocalGenerated, m.GlobalGenerated, m.LocalDone, m.GlobalDone,
+		m.LocalMiss.Hits(), m.GlobalMiss.Hits(),
+		m.LocalResponse.Mean(), m.GlobalResponse.Mean(),
+		m.GlobalTardiness.Mean(), m.MeanUtilization(), m.MDGlobal())
+}
+
+// TestRunDeterminism pins the pure-function contract: a fresh Run and
+// consecutive warm RunWith calls on one Workspace all land on the same
+// sample path, and a different seed lands elsewhere.
 func TestRunDeterminism(t *testing.T) {
 	cfg := shortBaseline()
 	cfg.Horizon = 5000
-	a, err := Run(cfg)
+	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.LocalGenerated != b.LocalGenerated || a.GlobalGenerated != b.GlobalGenerated {
-		t.Fatalf("same seed generated different arrivals: %d/%d vs %d/%d",
-			a.LocalGenerated, a.GlobalGenerated, b.LocalGenerated, b.GlobalGenerated)
-	}
-	if a.LocalMiss.Hits() != b.LocalMiss.Hits() || a.GlobalMiss.Hits() != b.GlobalMiss.Hits() {
-		t.Fatal("same seed produced different miss counts")
-	}
-	if a.MeanUtilization() != b.MeanUtilization() {
-		t.Fatal("same seed produced different utilization")
+	ws := NewWorkspace()
+	// Sequential on purpose: the warm cases reuse ws in order.
+	for _, tt := range []struct {
+		name string
+		run  func() (*Metrics, error)
+	}{
+		{"fresh Run", func() (*Metrics, error) { return Run(cfg) }},
+		{"first RunWith on a new workspace", func() (*Metrics, error) { return RunWith(cfg, ws) }},
+		{"second RunWith on the warm workspace", func() (*Metrics, error) { return RunWith(cfg, ws) }},
+	} {
+		got, err := tt.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if runSig(got) != runSig(want) {
+			t.Fatalf("%s diverged:\n%s\n%s", tt.name, runSig(got), runSig(want))
+		}
 	}
 	cfg.Seed = 2
 	c, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.LocalGenerated == c.LocalGenerated && a.LocalMiss.Hits() == c.LocalMiss.Hits() {
+	if want.LocalGenerated == c.LocalGenerated && want.LocalMiss.Hits() == c.LocalMiss.Hits() {
 		t.Error("different seeds produced identical runs (suspicious)")
 	}
 }

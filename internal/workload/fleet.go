@@ -9,8 +9,9 @@ import (
 )
 
 // LocalFleet generates the local-task streams of every node in one
-// structure. It produces exactly the arrivals of one LocalSource per
-// node — same streams, same draw order — but lays the state out for
+// structure: per node, a Poisson stream of local tasks with exponential
+// (or Demand-drawn) execution times and uniform slack. The state is laid
+// out for
 // large topologies: everything the nodes share (the Table 1 parameters,
 // the demand and prediction models, the modulator, the callbacks) is
 // stored once on the fleet, and the per-node residue shrinks to one
@@ -19,16 +20,15 @@ import (
 // to 4 MB of records touched one cache line per arrival, with the
 // shared half staying resident in L1.
 //
-// A LocalFleet is single-threaded, like the engine it feeds. The
-// equivalence with per-node LocalSources is pinned by
-// TestFleetMatchesSources.
+// A LocalFleet is single-threaded, like the engine it feeds.
+// TestFleetMatchesSources pins it to a reference one-source-per-node
+// generator kept in the package's tests.
 type LocalFleet struct {
 	eng     *sim.Engine
 	cb      sim.Callback
 	streams []localStream
-	gaps    []gapState // non-empty selects the split RNG layout
 
-	// Shared per-run parameters (see LocalParams for semantics).
+	// Shared per-run parameters (see FleetParams).
 	meanExec  float64
 	slackMin  float64
 	slackMax  float64
@@ -53,14 +53,6 @@ type localStream struct {
 	node     int32
 }
 
-// gapState is one node's dedicated gap substream under the split RNG
-// layout, with its pre-drawn batch.
-type gapState struct {
-	r    rng.Source
-	buf  [gapBatch]float64
-	n, i int32
-}
-
 // fleetHandler is the engine callback shared by every stream of every
 // fleet; the stream rides along as the payload.
 func fleetHandler(p any) { p.(*localStream).candidate() }
@@ -76,26 +68,31 @@ func NewLocalFleet(eng *sim.Engine) *LocalFleet {
 // the engine object itself is replaced).
 func (f *LocalFleet) Init(eng *sim.Engine) { f.eng = eng }
 
-// FleetParams carries the parameters shared by every node's stream; see
-// LocalParams for field semantics. Per-node rate and seeding are set by
-// SeedNode.
+// FleetParams carries the parameters shared by every node's stream.
+// Per-node rate and seeding are set by SeedNode.
 type FleetParams struct {
-	MeanExec           float64
+	// MeanExec is 1/µ_local.
+	MeanExec float64
+	// SlackMin, SlackMax bound the uniform slack distribution.
 	SlackMin, SlackMax float64
-	Pex                PexModel
-	Demand             Demand
-	Mod                RateModulator
-	// SplitGaps selects the split RNG layout: every node draws its
-	// inter-arrival gaps from a dedicated substream (seeded via
-	// SeedNodeGap) in batches of gapBatch.
-	SplitGaps bool
-	Pool      *task.Pool
+	// Pex is the prediction model.
+	Pex PexModel
+	// Demand overrides the execution-time distribution; nil draws the
+	// paper's exponential demands.
+	Demand Demand
+	// Mod optionally modulates the arrival rate over time (scenario
+	// bursts and ramps); nil keeps the streams stationary.
+	Mod RateModulator
+	// Pool optionally recycles retired tasks instead of allocating a
+	// fresh Task per arrival. Nil allocates; results are identical
+	// either way.
+	Pool *task.Pool
 }
 
 // Configure rebinds the fleet for a fresh run of n nodes, reusing the
 // stream tables when the node count matches. It must be called after the
-// engine was Reset and be followed by SeedNode (and SeedNodeGap under
-// the split layout) for every node, then Start.
+// engine was Reset and be followed by SeedNode for every node, then
+// Start.
 func (f *LocalFleet) Configure(n int, params FleetParams,
 	nextID, nextSeq func() uint64, submit func(*task.Task)) error {
 	if f.eng == nil {
@@ -132,13 +129,6 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 			f.streams[i].node = int32(i)
 		}
 	}
-	if params.SplitGaps {
-		if len(f.gaps) != n {
-			f.gaps = make([]gapState, n)
-		}
-	} else {
-		f.gaps = nil
-	}
 	f.cb = f.eng.Register(fleetHandler)
 	return nil
 }
@@ -156,14 +146,6 @@ func (f *LocalFleet) SeedNode(i int, rate float64, seed, hash uint64) error {
 		s.peakMean = 1 / (rate * f.maxFactor)
 	}
 	return nil
-}
-
-// SeedNodeGap reseeds node i's dedicated gap substream (split layout
-// only) and discards any batched gaps of a previous run.
-func (f *LocalFleet) SeedNodeGap(i int, seed, hash uint64) {
-	g := &f.gaps[i]
-	g.r.ReseedStream(seed, hash)
-	g.n, g.i = 0, 0
 }
 
 // Start schedules every node's first candidate arrival.
@@ -202,8 +184,9 @@ func (f *LocalFleet) accept(r *rng.Source) bool {
 	return r.Float64()*f.maxFactor < v
 }
 
-// arrive emits one accepted local task, with LocalSource.arrive's exact
-// draw order.
+// arrive emits one accepted local task. Draw order: demand, slack, then
+// the prediction — the pool hands back a zeroed task and every non-zero
+// field is assigned here.
 func (f *LocalFleet) arrive(s *localStream) {
 	now := f.eng.Now()
 	ex := sampleDemand(f.demand, &s.r, f.meanExec)
@@ -222,19 +205,5 @@ func (f *LocalFleet) arrive(s *localStream) {
 	f.submit(t)
 }
 
-// nextGap draws the stream's next inter-candidate gap from whichever
-// stream the configured layout assigns it to.
-func (s *localStream) nextGap() float64 {
-	f := s.fleet
-	if f.gaps == nil {
-		return s.r.Exponential(s.peakMean)
-	}
-	g := &f.gaps[s.node]
-	if g.i == g.n {
-		g.r.ExponentialFill(g.buf[:], s.peakMean)
-		g.n, g.i = gapBatch, 0
-	}
-	v := g.buf[g.i]
-	g.i++
-	return v
-}
+// nextGap draws the stream's next inter-candidate gap.
+func (s *localStream) nextGap() float64 { return s.r.Exponential(s.peakMean) }

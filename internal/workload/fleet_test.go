@@ -26,11 +26,10 @@ func record(tk *task.Task) emitted {
 }
 
 // fleetCase is one equivalence scenario: per-node rates (0 silences a
-// node), RNG layout, and the shared stream parameters.
+// node) and the shared stream parameters.
 type fleetCase struct {
 	name  string
 	rates []float64
-	split bool
 	mod   RateModulator
 	pex   PexModel
 }
@@ -47,20 +46,14 @@ func runSources(t *testing.T, c fleetCase, seed uint64, horizon float64) []emitt
 	submit := func(tk *task.Task) { out = append(out, record(tk)) }
 	pool := &task.Pool{}
 	rngs := make([]rng.Source, len(c.rates))
-	gaps := make([]rng.Source, len(c.rates))
 	srcs := make([]LocalSource, len(c.rates))
 	for i, rate := range c.rates {
 		rngs[i].ReseedStream(seed, rng.StreamHashParts("local-", uint64(i), ""))
-		var gap *rng.Source
-		if c.split {
-			gaps[i].ReseedStream(seed, rng.StreamHashParts("local-", uint64(i), "-gap"))
-			gap = &gaps[i]
-		}
 		srcs[i].Init(eng)
 		err := srcs[i].Reconfigure(&rngs[i], LocalParams{
 			Node: i, Rate: rate, MeanExec: 1,
 			SlackMin: 0.25, SlackMax: 2.5,
-			Pex: c.pex, Mod: c.mod, Gap: gap, Pool: pool,
+			Pex: c.pex, Mod: c.mod, Pool: pool,
 		}, nextID, nextSeq, submit)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +73,7 @@ func runFleet(t *testing.T, c fleetCase, seed uint64, horizon float64) []emitted
 	f := NewLocalFleet(eng)
 	err := f.Configure(len(c.rates), FleetParams{
 		MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5,
-		Pex: c.pex, Mod: c.mod, SplitGaps: c.split, Pool: &task.Pool{},
+		Pex: c.pex, Mod: c.mod, Pool: &task.Pool{},
 	},
 		func() uint64 { id++; return id },
 		func() uint64 { seq++; return seq },
@@ -92,27 +85,22 @@ func runFleet(t *testing.T, c fleetCase, seed uint64, horizon float64) []emitted
 		if err := f.SeedNode(i, rate, seed, rng.StreamHashParts("local-", uint64(i), "")); err != nil {
 			t.Fatal(err)
 		}
-		if c.split {
-			f.SeedNodeGap(i, seed, rng.StreamHashParts("local-", uint64(i), "-gap"))
-		}
 	}
 	f.Start()
 	eng.Run(horizon)
 	return out
 }
 
-// TestFleetMatchesSources pins the fleet's contract: under both RNG
-// layouts, with and without modulation, with heterogeneous rates and
+// TestFleetMatchesSources pins the fleet's contract: with and without
+// modulation, with heterogeneous rates and
 // silent nodes, a LocalFleet emits the byte-identical task sequence of
 // one LocalSource per node.
 func TestFleetMatchesSources(t *testing.T) {
 	const horizon = 2000.0
 	cases := []fleetCase{
 		{name: "default layout", rates: []float64{0.375, 0.375, 0.375, 0.375}},
-		{name: "split layout", rates: []float64{0.375, 0.375, 0.375, 0.375}, split: true},
 		{name: "heterogeneous with silent node", rates: []float64{1.5, 0, 0.2, 0.7}},
 		{name: "modulated default", rates: []float64{0.5, 0.5, 0.5}, mod: stepMod{on: 0, off: horizon / 2}},
-		{name: "modulated split", rates: []float64{0.5, 0.5, 0.5}, split: true, mod: stepMod{on: 0, off: horizon / 2}},
 		{name: "pex error", rates: []float64{0.8, 0.8}, pex: PexModel{RelErr: 0.5}},
 	}
 	for _, c := range cases {
@@ -137,7 +125,7 @@ func TestFleetMatchesSources(t *testing.T) {
 // TestFleetReuseRegeneratesIdentically pins the warm-workspace contract:
 // Configure + SeedNode on a used fleet reproduces the first run exactly.
 func TestFleetReuseRegeneratesIdentically(t *testing.T) {
-	c := fleetCase{rates: []float64{0.6, 0.6, 0.6}, split: true}
+	c := fleetCase{rates: []float64{0.6, 0.6, 0.6}}
 	first := runFleet(t, c, 11, 1500)
 
 	// Same fleet object, reconfigured across engine resets.
@@ -149,8 +137,7 @@ func TestFleetReuseRegeneratesIdentically(t *testing.T) {
 		var id, seq uint64
 		second = second[:0]
 		err := f.Configure(len(c.rates), FleetParams{
-			MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5,
-			SplitGaps: c.split, Pool: &task.Pool{},
+			MeanExec: 1, SlackMin: 0.25, SlackMax: 2.5, Pool: &task.Pool{},
 		},
 			func() uint64 { id++; return id },
 			func() uint64 { seq++; return seq },
@@ -162,7 +149,6 @@ func TestFleetReuseRegeneratesIdentically(t *testing.T) {
 			if err := f.SeedNode(i, rate, 11, rng.StreamHashParts("local-", uint64(i), "")); err != nil {
 				t.Fatal(err)
 			}
-			f.SeedNodeGap(i, 11, rng.StreamHashParts("local-", uint64(i), "-gap"))
 		}
 		f.Start()
 		eng.Run(1500)

@@ -27,12 +27,6 @@ type RateModulator interface {
 // closure allocations.
 type arrivalOwner interface{ arrive() }
 
-// gapBatch is the number of inter-candidate gaps pre-drawn per refill
-// under the split RNG layout. Small on purpose: the buffer lives by
-// value in every source, and a 64k-node topology carries one buffer per
-// node.
-const gapBatch = 8
-
 // arrivals drives one source's arrival process. With a nil modulator it
 // draws plain exponential gaps — byte-identical to the pre-scenario
 // generator. With a modulator it generates a non-homogeneous Poisson
@@ -49,29 +43,18 @@ const gapBatch = 8
 // (the loop itself rides along as the payload word) instead of a
 // per-source closure.
 //
-// RNG layout: by default (gap == nil) every draw of the source — gap,
-// thinning accept, and the arrival's body draws — interleaves on the one
-// stream r, in exact arrival order; this is the historical layout and
-// its results are pinned by the corpus in testdata/golden/. With a dedicated gap
-// stream (the split layout), gap draws move to their own substream and
-// are pre-drawn gapBatch at a time, which batches the per-candidate
-// draw overhead without perturbing the body draws' stream. The two
-// layouts produce different (equally valid) sample paths, which is why
-// the split layout sits behind an explicit configuration knob with its
-// own reference outputs (none are committed).
+// Every draw of the source — gap, thinning accept, and the arrival's
+// body draws — interleaves on the one stream r, in exact arrival order;
+// the corpus in testdata/golden/ pins the resulting sample path.
 type arrivals struct {
 	eng       *sim.Engine
 	r         *rng.Source
-	gap       *rng.Source // non-nil selects the split gap substream
 	rate      float64
 	peakMean  float64 // mean inter-candidate gap at the peak rate
 	maxFactor float64 // cached mod.MaxFactor(); 1 with no modulator
 	mod       RateModulator
 	owner     arrivalOwner
 	cb        sim.Callback
-	gapBuf    [gapBatch]float64
-	gapN      int // valid entries in gapBuf
-	gapI      int // next entry to consume
 }
 
 // candidateHandler is the engine callback behind every arrivals loop;
@@ -85,11 +68,11 @@ func (a *arrivals) init(eng *sim.Engine, owner arrivalOwner) {
 }
 
 // reconfigure rebinds the arrivals loop for a fresh run in place: a new
-// (typically reseeded) RNG stream, rate, modulator and optional gap
-// substream, re-registering the shared handler on the engine (an engine
-// Reset clears registrations). It performs the same validation as
-// construction and allocates nothing after the first run.
-func (a *arrivals) reconfigure(r, gap *rng.Source, rate float64, mod RateModulator) error {
+// (typically reseeded) RNG stream, rate and modulator, re-registering
+// the shared handler on the engine (an engine Reset clears
+// registrations). It performs the same validation as construction and
+// allocates nothing after the first run.
+func (a *arrivals) reconfigure(r *rng.Source, rate float64, mod RateModulator) error {
 	maxFactor := 1.0
 	if mod != nil {
 		maxFactor = mod.MaxFactor()
@@ -97,30 +80,17 @@ func (a *arrivals) reconfigure(r, gap *rng.Source, rate float64, mod RateModulat
 			return fmt.Errorf("workload: rate modulator MaxFactor = %v, want > 0", maxFactor)
 		}
 	}
-	a.r, a.gap, a.rate, a.maxFactor, a.mod = r, gap, rate, maxFactor, mod
+	a.r, a.rate, a.maxFactor, a.mod = r, rate, maxFactor, mod
 	a.peakMean = 0
 	if rate > 0 {
 		a.peakMean = 1 / (rate * maxFactor)
 	}
-	a.gapN, a.gapI = 0, 0
 	a.cb = a.eng.Register(candidateHandler)
 	return nil
 }
 
-// nextGap draws the next inter-candidate gap from whichever stream the
-// configured layout assigns it to.
-func (a *arrivals) nextGap() float64 {
-	if a.gap == nil {
-		return a.r.Exponential(a.peakMean)
-	}
-	if a.gapI == a.gapN {
-		a.gap.ExponentialFill(a.gapBuf[:], a.peakMean)
-		a.gapN, a.gapI = gapBatch, 0
-	}
-	g := a.gapBuf[a.gapI]
-	a.gapI++
-	return g
-}
+// nextGap draws the next inter-candidate gap.
+func (a *arrivals) nextGap() float64 { return a.r.Exponential(a.peakMean) }
 
 // start schedules the first candidate. A zero rate generates nothing.
 func (a *arrivals) start() {
