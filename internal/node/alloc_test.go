@@ -3,7 +3,6 @@ package node
 import (
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -17,19 +16,10 @@ import (
 func TestTaskLifecycleZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	pool := &task.Pool{}
-	q, err := sched.New(sched.EDF, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{
-		ID:     0,
+	n := newBankGroup(t, GroupConfig{
 		Engine: eng,
-		Queue:  q,
 		OnDone: func(done *task.Task) { pool.Put(done) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1).Node(0)
 
 	var seq uint64
 	lifecycle := func(count int) {

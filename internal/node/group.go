@@ -53,11 +53,8 @@ type nodeHot struct {
 // completing task's NodeID routes it), so setting up a large topology
 // costs one closure instead of k.
 //
-// Ready queues come in two forms: a sched.Bank (the contiguous
-// arena-backed fast path) or a []sched.Queue of independent queue
-// objects (the legacy seam, still used by external Queue
-// implementations and the single-node New constructor). Scheduling
-// order is identical; the bank is a memory-layout optimization.
+// The ready queues are the lanes of one sched.Bank, a contiguous
+// arena shared by every node.
 //
 // A Group is single-threaded, like the engine that drives it. It is
 // reusable: Configure re-points the same backing arrays at a fresh
@@ -66,14 +63,12 @@ type nodeHot struct {
 type Group struct {
 	eng        *sim.Engine
 	bank       *sched.Bank
-	queues     []sched.Queue
 	policy     TardyPolicy
 	preemptive bool
 	observer   Observer
 	onDone     func(*task.Task)
 	onAbort    func(*task.Task)
 	completeCB sim.Callback
-	idBase     int
 
 	hot     []nodeHot
 	handles []Node  // stable per-group handle values
@@ -81,16 +76,12 @@ type Group struct {
 }
 
 // GroupConfig carries the construction parameters shared by every node
-// of the group; the ready queues carry the only per-node state.
+// of the group; the ready-queue bank carries the only per-node state.
 type GroupConfig struct {
 	// Engine drives all nodes.
 	Engine *sim.Engine
-	// Queues holds one ready queue per node; its length is the node
-	// count. Exactly one of Queues and Bank must be set.
-	Queues []sched.Queue
-	// Bank is the contiguous ready-queue bank; its configured node
-	// count is the group's node count. Exactly one of Queues and Bank
-	// must be set.
+	// Bank holds the ready queues; its configured node count is the
+	// group's node count.
 	Bank *sched.Bank
 	// Policy is the tardy-task policy; zero value defaults to NoAbort.
 	Policy TardyPolicy
@@ -103,10 +94,6 @@ type GroupConfig struct {
 	OnAbort func(*task.Task)
 	// Observer optionally receives every lifecycle event (for tracing).
 	Observer Observer
-	// IDBase offsets the node ids: node i reports (and stamps tasks
-	// with) id IDBase+i. Zero for whole-system groups; the single-node
-	// New constructor uses it to preserve its configured ID.
-	IDBase int
 }
 
 // NewGroup returns a configured group.
@@ -126,11 +113,12 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	if cfg.Engine == nil {
 		return fmt.Errorf("node group: nil engine")
 	}
-	if (len(cfg.Queues) == 0) == (cfg.Bank == nil) {
-		if cfg.Bank != nil {
-			return fmt.Errorf("node group: both Queues and Bank set")
-		}
-		return fmt.Errorf("node group: no queues")
+	if cfg.Bank == nil {
+		return fmt.Errorf("node group: nil bank")
+	}
+	k := cfg.Bank.Nodes()
+	if k == 0 {
+		return fmt.Errorf("node group: unconfigured bank")
 	}
 	if cfg.OnDone == nil {
 		return fmt.Errorf("node group: nil OnDone")
@@ -141,24 +129,11 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	if (cfg.Policy == AbortAtDispatch || cfg.Policy == AbortFirm) && cfg.OnAbort == nil {
 		return fmt.Errorf("node group: abort policy requires OnAbort")
 	}
-	k := len(cfg.Queues)
-	if cfg.Bank != nil {
-		k = cfg.Bank.Nodes()
-		if k == 0 {
-			return fmt.Errorf("node group: unconfigured bank")
-		}
-	}
-	for i, q := range cfg.Queues {
-		if q == nil {
-			return fmt.Errorf("node %d: nil queue", i)
-		}
-	}
 	g.eng = cfg.Engine
-	g.bank, g.queues = cfg.Bank, cfg.Queues
+	g.bank = cfg.Bank
 	g.policy, g.preemptive = cfg.Policy, cfg.Preemptive
 	g.observer = cfg.Observer
 	g.onDone, g.onAbort = cfg.OnDone, cfg.OnAbort
-	g.idBase = cfg.IDBase
 	if cap(g.hot) >= k {
 		g.hot = g.hot[:k]
 		g.handles = g.handles[:k]
@@ -172,7 +147,7 @@ func (g *Group) Configure(cfg GroupConfig) error {
 	// (set at Submit) routes the completion.
 	g.completeCB = cfg.Engine.Register(func(p any) {
 		t := p.(*task.Task)
-		g.complete(t.NodeID-g.idBase, t)
+		g.complete(t.NodeID, t)
 	})
 	for i := range g.hot {
 		g.hot[i] = nodeHot{speed: 1}
@@ -194,31 +169,6 @@ func (g *Group) Node(i int) *Node { return &g.handles[i] }
 // The slice and its pointers stay valid until the next Configure.
 func (g *Group) Nodes() []*Node { return g.ptrs }
 
-// qPush, qPop and qLen dispatch between the bank and the legacy queue
-// slice with one predictable branch.
-
-func (g *Group) qPush(i int, t *task.Task) {
-	if g.bank != nil {
-		g.bank.Push(i, t)
-		return
-	}
-	g.queues[i].Push(t)
-}
-
-func (g *Group) qPop(i int, now float64) *task.Task {
-	if g.bank != nil {
-		return g.bank.Pop(i, now)
-	}
-	return g.queues[i].Pop(now)
-}
-
-func (g *Group) qLen(i int) int {
-	if g.bank != nil {
-		return g.bank.Len(i)
-	}
-	return g.queues[i].Len()
-}
-
 // observe reports a lifecycle event if an observer is attached.
 func (g *Group) observe(ev ObserverEvent, t *task.Task) {
 	if g.observer != nil {
@@ -232,17 +182,17 @@ func (g *Group) observe(ev ObserverEvent, t *task.Task) {
 // node a newcomer with an earlier deadline suspends the task in
 // service.
 func (g *Group) Submit(i int, t *task.Task) {
-	t.NodeID = g.idBase + i
+	t.NodeID = i
 	h := &g.hot[i]
 	h.submitted++
 	g.observe(ObserveSubmit, t)
-	g.qPush(i, t)
+	g.bank.Push(i, t)
 	if g.preemptive {
 		if running := h.running; running != nil && t.Deadline < running.Deadline {
 			g.preempt(i) // pushes the suspended task back, deepening the queue
 		}
 	}
-	if l := int32(g.qLen(i)); l > h.readyHWM {
+	if l := int32(g.bank.Len(i)); l > h.readyHWM {
 		h.readyHWM = l
 	}
 	g.dispatch(i)
@@ -262,7 +212,7 @@ func (g *Group) preempt(i int) {
 	h.preemptions++
 	h.running = nil
 	g.observe(ObservePreempt, cur)
-	g.qPush(i, cur)
+	g.bank.Push(i, cur)
 }
 
 // dispatch starts node i's next task if the server is idle. The paper's
@@ -275,7 +225,7 @@ func (g *Group) dispatch(i int) {
 	}
 	for {
 		now := g.eng.Now()
-		t := g.qPop(i, now)
+		t := g.bank.Pop(i, now)
 		if t == nil {
 			return
 		}
@@ -328,7 +278,7 @@ func (g *Group) complete(i int, t *task.Task) {
 // SetSpeed changes node i's service speed factor; see Node.SetSpeed.
 func (g *Group) SetSpeed(i int, speed float64) {
 	if speed < 0 || math.IsNaN(speed) {
-		panic(fmt.Sprintf("node %d: SetSpeed(%v)", g.idBase+i, speed))
+		panic(fmt.Sprintf("node %d: SetSpeed(%v)", i, speed))
 	}
 	h := &g.hot[i]
 	if speed == h.speed {

@@ -129,43 +129,3 @@ func TestGroupGrowthAndResetAt64k(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupBankMatchesQueuesLargeN drives the identical deterministic
-// load through a bank-backed group and a legacy per-queue group at a
-// large node count: the SoA/arena layout must be invisible — every
-// counter and accumulated float equal to the last bit.
-func TestGroupBankMatchesQueuesLargeN(t *testing.T) {
-	const k = 8192
-	const tasks = 20000
-
-	run := func(useBank bool) []nodeSig {
-		eng := sim.New()
-		var g *Group
-		if useBank {
-			g = configureBank(t, eng, nil, k)
-		} else {
-			queues := make([]sched.Queue, k)
-			for i := range queues {
-				q, err := sched.New(sched.EDF, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				queues[i] = q
-			}
-			var err error
-			g, err = NewGroup(GroupConfig{Engine: eng, Queues: queues, OnDone: func(*task.Task) {}})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		driveLoad(t, eng, g, k, tasks)
-		return signature(g, k)
-	}
-
-	bank, legacy := run(true), run(false)
-	for i := range bank {
-		if bank[i] != legacy[i] {
-			t.Fatalf("node %d: bank %+v != queues %+v", i, bank[i], legacy[i])
-		}
-	}
-}

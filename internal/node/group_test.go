@@ -8,17 +8,18 @@ import (
 	"repro/internal/task"
 )
 
-func groupQueues(t *testing.T, k int) []sched.Queue {
+// newBankGroup builds a k-node group from cfg on a fresh EDF bank.
+func newBankGroup(t testing.TB, cfg GroupConfig, k int) *Group {
 	t.Helper()
-	queues := make([]sched.Queue, k)
-	for i := range queues {
-		q, err := sched.New(sched.EDF, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queues[i] = q
+	cfg.Bank = sched.NewBank()
+	if err := cfg.Bank.Configure(k, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
 	}
-	return queues
+	g, err := NewGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestGroupRoutesCompletions drives tasks through several nodes of one
@@ -27,14 +28,10 @@ func groupQueues(t *testing.T, k int) []sched.Queue {
 func TestGroupRoutesCompletions(t *testing.T) {
 	eng := sim.New()
 	var doneNodes []int
-	g, err := NewGroup(GroupConfig{
+	g := newBankGroup(t, GroupConfig{
 		Engine: eng,
-		Queues: groupQueues(t, 4),
 		OnDone: func(tk *task.Task) { doneNodes = append(doneNodes, tk.NodeID) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 4)
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", g.Len())
 	}
@@ -69,15 +66,8 @@ func TestGroupRoutesCompletions(t *testing.T) {
 // array (same node pointers) and fully resets node state.
 func TestGroupConfigureReuses(t *testing.T) {
 	eng := sim.New()
-	queues := groupQueues(t, 3)
-	g, err := NewGroup(GroupConfig{
-		Engine: eng,
-		Queues: queues,
-		OnDone: func(*task.Task) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newBankGroup(t, GroupConfig{Engine: eng, OnDone: func(*task.Task) {}}, 3)
+	bank := g.bank
 	first := g.Node(0)
 	tk := &task.Task{ID: 1, Class: task.Local, Stage: -1, Exec: 1, Pex: 1,
 		Deadline: 10, FirmDeadline: 10, Seq: 1}
@@ -88,12 +78,12 @@ func TestGroupConfigureReuses(t *testing.T) {
 	}
 
 	eng.Reset()
-	for _, q := range queues {
-		q.(sched.Resetter).Reset()
+	if err := bank.Configure(3, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
 	}
 	if err := g.Configure(GroupConfig{
 		Engine: eng,
-		Queues: queues,
+		Bank:   bank,
 		OnDone: func(*task.Task) {},
 	}); err != nil {
 		t.Fatal(err)
@@ -107,22 +97,33 @@ func TestGroupConfigureReuses(t *testing.T) {
 	}
 }
 
-// TestGroupConfigValidation covers the constructor error paths.
-func TestGroupConfigValidation(t *testing.T) {
+// badGroupConfigs lists one invalid GroupConfig per Configure error
+// path.
+func badGroupConfigs(t *testing.T) []struct {
+	name string
+	cfg  GroupConfig
+} {
 	eng := sim.New()
-	queues := groupQueues(t, 1)
-	cases := []struct {
+	bank := sched.NewBank()
+	if err := bank.Configure(1, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
+	}
+	done := func(*task.Task) {}
+	return []struct {
 		name string
 		cfg  GroupConfig
 	}{
-		{"nil engine", GroupConfig{Queues: queues, OnDone: func(*task.Task) {}}},
-		{"no queues", GroupConfig{Engine: eng, OnDone: func(*task.Task) {}}},
-		{"nil OnDone", GroupConfig{Engine: eng, Queues: queues}},
-		{"nil queue", GroupConfig{Engine: eng, Queues: []sched.Queue{nil}, OnDone: func(*task.Task) {}}},
-		{"abort without OnAbort", GroupConfig{Engine: eng, Queues: queues,
-			Policy: AbortAtDispatch, OnDone: func(*task.Task) {}}},
+		{"nil engine", GroupConfig{Bank: bank, OnDone: done}},
+		{"nil queue", GroupConfig{Engine: eng, OnDone: done}},
+		{"unconfigured bank", GroupConfig{Engine: eng, Bank: sched.NewBank(), OnDone: done}},
+		{"nil OnDone", GroupConfig{Engine: eng, Bank: bank}},
+		{"abort without OnAbort", GroupConfig{Engine: eng, Bank: bank, OnDone: done, Policy: AbortAtDispatch}},
 	}
-	for _, tc := range cases {
+}
+
+// TestGroupConfigValidation covers the constructor error paths.
+func TestGroupConfigValidation(t *testing.T) {
+	for _, tc := range badGroupConfigs(t) {
 		if _, err := NewGroup(tc.cfg); err == nil {
 			t.Errorf("%s: NewGroup accepted an invalid config", tc.name)
 		}
@@ -137,14 +138,10 @@ func TestGroupLifecycleZeroAlloc64(t *testing.T) {
 	eng := sim.New()
 	pool := &task.Pool{}
 	const k = 64
-	g, err := NewGroup(GroupConfig{
+	g := newBankGroup(t, GroupConfig{
 		Engine: eng,
-		Queues: groupQueues(t, k),
 		OnDone: func(done *task.Task) { pool.Put(done) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, k)
 
 	var seq uint64
 	lifecycle := func(count int) {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -14,44 +13,28 @@ type recorder struct {
 	aborted []*task.Task
 }
 
+// newTestNode returns the last node of a four-node group, so the tests
+// see a non-zero node id.
 func newTestNode(t *testing.T, eng *sim.Engine, policy TardyPolicy) (*Node, *recorder) {
 	t.Helper()
 	rec := &recorder{}
-	q, err := sched.New(sched.EDF, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{
-		ID:      3,
+	g := newBankGroup(t, GroupConfig{
 		Engine:  eng,
-		Queue:   q,
 		Policy:  policy,
 		OnDone:  func(tk *task.Task) { rec.done = append(rec.done, tk) },
 		OnAbort: func(tk *task.Task) { rec.aborted = append(rec.aborted, tk) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, rec
+	}, 4)
+	return g.Node(3), rec
 }
 
+// TestConfigValidation checks that reconfiguring a working group
+// rejects every invalid config, like construction does.
 func TestConfigValidation(t *testing.T) {
-	eng := sim.New()
-	q, _ := sched.New(sched.EDF, false)
-	done := func(*task.Task) {}
-	tests := []struct {
-		name string
-		cfg  Config
-	}{
-		{name: "nil engine", cfg: Config{Queue: q, OnDone: done}},
-		{name: "nil queue", cfg: Config{Engine: eng, OnDone: done}},
-		{name: "nil OnDone", cfg: Config{Engine: eng, Queue: q}},
-		{name: "abort without OnAbort", cfg: Config{Engine: eng, Queue: q, OnDone: done, Policy: AbortAtDispatch}},
-	}
-	for _, tt := range tests {
+	for _, tt := range badGroupConfigs(t) {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := New(tt.cfg); err == nil {
-				t.Error("New succeeded, want error")
+			g := newBankGroup(t, GroupConfig{Engine: sim.New(), OnDone: func(*task.Task) {}}, 2)
+			if err := g.Configure(tt.cfg); err == nil {
+				t.Error("Configure succeeded, want error")
 			}
 		})
 	}
@@ -219,18 +202,11 @@ func TestSubmitSetsNodeID(t *testing.T) {
 func newPreemptiveNode(t *testing.T, eng *sim.Engine) (*Node, *recorder) {
 	t.Helper()
 	rec := &recorder{}
-	q, err := sched.New(sched.EDF, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{
-		ID: 0, Engine: eng, Queue: q, Preemptive: true,
+	g := newBankGroup(t, GroupConfig{
+		Engine: eng, Preemptive: true,
 		OnDone: func(tk *task.Task) { rec.done = append(rec.done, tk) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, rec
+	}, 1)
+	return g.Node(0), rec
 }
 
 func TestPreemptiveEDF(t *testing.T) {

@@ -11,16 +11,32 @@ import (
 	"repro/internal/task"
 )
 
-// harness wires an engine, k nodes and a manager the way the system
-// package does, recording all completions.
+// harness wires an engine, a k-node group and a manager the way the
+// system package does, recording all completions.
 type harness struct {
 	eng       *sim.Engine
-	nodes     []*node.Node
+	group     *node.Group
 	mgr       *Manager
 	done      []*Instance
 	completed []*task.Task
 	seq       uint64
 	id        uint64
+}
+
+// newGroup builds a k-node group on an EDF bank; cfg supplies the
+// policy and callbacks.
+func newGroup(t *testing.T, eng *sim.Engine, k int, cfg node.GroupConfig) *node.Group {
+	t.Helper()
+	cfg.Engine = eng
+	cfg.Bank = sched.NewBank()
+	if err := cfg.Bank.Configure(k, sched.EDF, false, 4); err != nil {
+		t.Fatal(err)
+	}
+	g, err := node.NewGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPolicy) *harness {
@@ -41,23 +57,10 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		q, err := sched.New(sched.EDF, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := node.New(node.Config{
-			ID: i, Engine: h.eng, Queue: q, Policy: policy,
-			OnDone: route, OnAbort: abort,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.nodes = append(h.nodes, n)
-	}
+	h.group = newGroup(t, h.eng, k, node.GroupConfig{Policy: policy, OnDone: route, OnAbort: abort})
 	mgr, err := New(Config{
 		Engine:   h.eng,
-		Nodes:    h.nodes,
+		Group:    h.group,
 		Assigner: assigner,
 		OnDone:   func(in *Instance) { h.done = append(h.done, in) },
 		NextSeq:  func() uint64 { h.seq++; return h.seq },
@@ -95,20 +98,16 @@ func place(g *task.Graph, nodes ...int) *task.Graph {
 
 func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
-	okNode := func() []*node.Node {
-		q, _ := sched.New(sched.EDF, false)
-		n, _ := node.New(node.Config{Engine: eng, Queue: q, OnDone: func(*task.Task) {}})
-		return []*node.Node{n}
-	}()
+	okNode := newGroup(t, eng, 1, node.GroupConfig{OnDone: func(*task.Task) {}})
 	seq := func() uint64 { return 0 }
 	tests := []struct {
 		name string
 		cfg  Config
 	}{
-		{name: "nil engine", cfg: Config{Nodes: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
+		{name: "nil engine", cfg: Config{Group: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
 		{name: "no nodes", cfg: Config{Engine: eng, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil OnDone", cfg: Config{Engine: eng, Nodes: okNode, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil allocators", cfg: Config{Engine: eng, Nodes: okNode, OnDone: func(*Instance) {}}},
+		{name: "nil OnDone", cfg: Config{Engine: eng, Group: okNode, NextSeq: seq, NextTaskID: seq}},
+		{name: "nil allocators", cfg: Config{Engine: eng, Group: okNode, OnDone: func(*Instance) {}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -222,7 +221,7 @@ func TestStageMissCounting(t *testing.T) {
 	h := newHarness(t, 1, core.NewAssigner(core.EqualFlexibility{}, core.ParallelUltimate{}), node.NoAbort)
 	// Occupy the single node first so the global subtask waits.
 	blocker := &task.Task{ID: 999, Class: task.Local, Exec: 4, Deadline: 100, Seq: 0}
-	h.nodes[0].Submit(blocker)
+	h.group.Submit(0, blocker)
 	g := place(task.MustParse("[a:1 b:1]"), 0)
 	inst := h.startInstance(t, g, 2) // dl = ar + ex: zero slack
 	h.eng.RunAll()
@@ -241,8 +240,8 @@ func TestStageMissCounting(t *testing.T) {
 func TestAbortKillsInstanceOnce(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.UltimateDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
 	// Block both nodes long enough that both branches expire.
-	h.nodes[0].Submit(&task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
-	h.nodes[1].Submit(&task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.group.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.group.Submit(1, &task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 || b:1]"), 0, 1)
 	inst := h.startInstance(t, g, 5) // both branches doomed
 	h.eng.RunAll()
@@ -260,7 +259,7 @@ func TestAbortKillsInstanceOnce(t *testing.T) {
 
 func TestAbortedSerialDoesNotContinue(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.EffectiveDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
-	h.nodes[0].Submit(&task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
+	h.group.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 b:1]"), 0, 1)
 	inst := h.startInstance(t, g, 3) // stage a expires behind the blocker
 	h.eng.RunAll()

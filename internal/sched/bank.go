@@ -13,9 +13,10 @@ import (
 // to pure submission order, which is exactly the ring-deque semantics of
 // the standalone FCFS queue including the preempted-task front-requeue
 // (a re-queued task's Seq is the minimum, so the heap serves it first).
-// Pop order is therefore identical to a slice of sched.New queues for
+// Pop order is therefore identical to one standalone queue per node for
 // every policy × globalsFirst combination; the cross-check test in
-// bank_test.go drives both against each other.
+// bank_test.go drives the bank against those queues, which live in the
+// package's tests.
 //
 // The globals-first class priority of the GF strategy becomes two lanes
 // per node: lane 2i holds node i's Global subtasks, lane 2i+1 its Local
@@ -105,10 +106,8 @@ func NewBank() *Bank { return &Bank{} }
 // their larger private arrays — so a warm workspace pays no queue
 // allocations at all.
 func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) error {
-	switch p {
-	case EDF, MLF, FCFS:
-	default:
-		return fmt.Errorf("sched: unknown policy %q", p)
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	if nodes <= 0 {
 		return fmt.Errorf("sched: bank of %d nodes", nodes)
@@ -143,14 +142,6 @@ func (b *Bank) Configure(nodes int, p Policy, globalsFirst bool, perNode int) er
 // Nodes returns the configured node count.
 func (b *Bank) Nodes() int { return b.nodes }
 
-// Name identifies the configured policy, matching Queue.Name.
-func (b *Bank) Name() string {
-	if b.globalsFirst {
-		return "GF(" + string(b.policy) + ")"
-	}
-	return string(b.policy)
-}
-
 // key computes the heap ordering key for the configured policy.
 func (b *Bank) key(t *task.Task) float64 {
 	switch {
@@ -176,8 +167,8 @@ func (b *Bank) Push(i int, t *task.Task) {
 }
 
 // Pop removes and returns node i's highest-priority task, or nil when
-// the queue is empty. The now parameter mirrors Queue.Pop; every bank
-// policy keys statically, so it is unused.
+// the queue is empty. Every policy keys statically, so now only documents
+// the dispatch time: MLF's laxity dl − now − pex orders like dl − pex.
 func (b *Bank) Pop(i int, now float64) *task.Task {
 	_ = now
 	if b.globalsFirst {
@@ -195,11 +186,4 @@ func (b *Bank) Len(i int) int {
 		return int(b.lanes[2*i].n) + int(b.lanes[2*i+1].n)
 	}
 	return int(b.lanes[i].n)
-}
-
-// Reset empties every lane, keeping capacity.
-func (b *Bank) Reset() {
-	for i := range b.lanes {
-		b.lanes[i].reset()
-	}
 }

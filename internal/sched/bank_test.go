@@ -9,93 +9,106 @@ import (
 )
 
 // TestBankMatchesQueues drives identical push/pop sequences through a
-// Bank and a slice of sched.New queues for every policy × globalsFirst
+// Bank and a slice of standalone New queues for every policy × globalsFirst
 // combination, including the preempted-task re-queue case (a pushed
 // task whose Seq is below every queued task's), and requires identical
 // pop order.
 func TestBankMatchesQueues(t *testing.T) {
-	const nodes = 5
+	type input struct {
+		p            Policy
+		gf           bool
+		nodes, steps int
+	}
+	var inputs []input
 	for _, p := range []Policy{EDF, MLF, FCFS} {
 		for _, gf := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/globalsFirst=%t", p, gf), func(t *testing.T) {
-				bank := NewBank()
-				if err := bank.Configure(nodes, p, gf, 4); err != nil {
+			inputs = append(inputs, input{p, gf, 5, 4000})
+		}
+	}
+	// A large-topology EDF bank: 8192 lanes carved from one arena, so
+	// any lane whose overflow clobbered a neighbour's carve would show.
+	inputs = append(inputs, input{EDF, false, 8192, 40000})
+	for _, in := range inputs {
+		p, gf, nodes := in.p, in.gf, in.nodes
+		name := fmt.Sprintf("%s/globalsFirst=%t", p, gf)
+		if nodes != 5 {
+			name += fmt.Sprintf("/lanes=%d", nodes)
+		}
+		t.Run(name, func(t *testing.T) {
+			bank := NewBank()
+			if err := bank.Configure(nodes, p, gf, 4); err != nil {
+				t.Fatal(err)
+			}
+			ref := make([]Queue, nodes)
+			for i := range ref {
+				q, err := New(p, gf)
+				if err != nil {
 					t.Fatal(err)
 				}
-				ref := make([]Queue, nodes)
-				for i := range ref {
-					q, err := New(p, gf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref[i] = q
-				}
-				if got, want := bank.Name(), ref[0].Name(); got != want {
-					t.Errorf("Name() = %q, want %q", got, want)
-				}
+				ref[i] = q
+			}
 
-				r := rng.New(7)
-				var seq uint64
-				live := make([][]*task.Task, nodes) // tasks currently queued per node
-				for step := 0; step < 4000; step++ {
-					i := r.IntN(nodes)
-					switch {
-					case r.Float64() < 0.55:
-						seq++
-						tk := &task.Task{
-							ID:       seq,
-							Seq:      seq,
-							Deadline: r.Uniform(0, 100),
-							Pex:      r.Uniform(0, 10),
-							Class:    task.Local,
-						}
-						if r.Float64() < 0.4 {
-							tk.Class = task.Global
-						}
-						bank.Push(i, tk)
-						ref[i].Push(tk)
-						live[i] = append(live[i], tk)
-					case r.Float64() < 0.15 && len(live[i]) > 0:
-						// Preempted re-queue: pop then push the popped task
-						// back; its Seq is the configured minimum of the
-						// ordering class it pops from.
-						now := r.Uniform(0, 100)
-						a, b := bank.Pop(i, now), ref[i].Pop(now)
-						if a != b {
-							t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
-						}
-						if a != nil {
-							bank.Push(i, a)
-							ref[i].Push(a)
-						}
-					default:
-						now := r.Uniform(0, 100)
-						a, b := bank.Pop(i, now), ref[i].Pop(now)
-						if a != b {
-							t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
-						}
-						if a != nil && len(live[i]) > 0 {
-							live[i] = live[i][:len(live[i])-1]
-						}
+			r := rng.New(7)
+			var seq uint64
+			live := make([][]*task.Task, nodes) // tasks currently queued per node
+			for step := 0; step < in.steps; step++ {
+				i := r.IntN(nodes)
+				switch {
+				case r.Float64() < 0.55:
+					seq++
+					tk := &task.Task{
+						ID:       seq,
+						Seq:      seq,
+						Deadline: r.Uniform(0, 100),
+						Pex:      r.Uniform(0, 10),
+						Class:    task.Local,
 					}
-					if bank.Len(i) != ref[i].Len() {
-						t.Fatalf("step %d node %d: bank len %d, queues len %d", step, i, bank.Len(i), ref[i].Len())
+					if r.Float64() < 0.4 {
+						tk.Class = task.Global
+					}
+					bank.Push(i, tk)
+					ref[i].Push(tk)
+					live[i] = append(live[i], tk)
+				case r.Float64() < 0.15 && len(live[i]) > 0:
+					// Preempted re-queue: pop then push the popped task
+					// back; its Seq is the configured minimum of the
+					// ordering class it pops from.
+					now := r.Uniform(0, 100)
+					a, b := bank.Pop(i, now), ref[i].Pop(now)
+					if a != b {
+						t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
+					}
+					if a != nil {
+						bank.Push(i, a)
+						ref[i].Push(a)
+					}
+				default:
+					now := r.Uniform(0, 100)
+					a, b := bank.Pop(i, now), ref[i].Pop(now)
+					if a != b {
+						t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
+					}
+					if a != nil && len(live[i]) > 0 {
+						live[i] = live[i][:len(live[i])-1]
 					}
 				}
-				// Drain everything and compare the full tail order.
-				for i := 0; i < nodes; i++ {
-					for {
-						a, b := bank.Pop(i, 50), ref[i].Pop(50)
-						if a != b {
-							t.Fatalf("drain node %d: bank popped %v, queues popped %v", i, a, b)
-						}
-						if a == nil {
-							break
-						}
+				if bank.Len(i) != ref[i].Len() {
+					t.Fatalf("step %d node %d: bank len %d, queues len %d", step, i, bank.Len(i), ref[i].Len())
+				}
+			}
+			// Drain everything and compare the full tail order.
+			for i := 0; i < nodes; i++ {
+				for {
+					a, b := bank.Pop(i, 50), ref[i].Pop(50)
+					if a != b {
+						t.Fatalf("drain node %d: bank popped %v, queues popped %v", i, a, b)
+					}
+					if a == nil {
+						break
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -134,15 +147,16 @@ func TestBankConfigureReuse(t *testing.T) {
 			t.Fatalf("after reconfigure Len(%d) = %d, want 0", i, got)
 		}
 	}
-	if b.Name() != "FCFS" {
-		t.Fatalf("Name() = %q, want FCFS", b.Name())
+	if b.policy != FCFS || b.globalsFirst {
+		t.Fatalf("after reconfigure policy=%s globalsFirst=%t, want FCFS without GF", b.policy, b.globalsFirst)
 	}
 	// Shape change: rebuild.
 	if err := b.Configure(4, EDF, true, 2); err != nil {
 		t.Fatal(err)
 	}
-	if b.Nodes() != 4 || b.Name() != "GF(EDF)" {
-		t.Fatalf("after rebuild Nodes=%d Name=%q", b.Nodes(), b.Name())
+	if b.Nodes() != 4 || b.policy != EDF || !b.globalsFirst || len(b.lanes) != 8 {
+		t.Fatalf("after rebuild Nodes=%d policy=%s globalsFirst=%t lanes=%d",
+			b.Nodes(), b.policy, b.globalsFirst, len(b.lanes))
 	}
 	if err := b.Configure(0, EDF, false, 2); err == nil {
 		t.Fatal("Configure(0 nodes) succeeded, want error")

@@ -2,6 +2,51 @@ package sched
 
 import "repro/internal/task"
 
+// The standalone per-node queues below are the reference the Bank is
+// tested against (TestBankMatchesQueues): one independent queue object
+// per node, each policy written in its most direct form — EDF and MLF
+// as keyed heaps, FCFS as a ring-buffer deque, globals-first as a
+// two-queue wrapper. Production always runs the Bank.
+
+// Queue is a standalone ready queue for one node. Pop receives the
+// current time because laxity-based policies order by dl − now − pex at
+// dispatch time; deadline- and arrival-ordered policies ignore it.
+type Queue interface {
+	// Push adds a task to the queue.
+	Push(t *task.Task)
+	// Pop removes and returns the highest-priority task, or nil when
+	// empty.
+	Pop(now float64) *task.Task
+	// Len returns the number of queued tasks.
+	Len() int
+	// Name identifies the policy ("EDF", "MLF", ...).
+	Name() string
+}
+
+// New returns a fresh queue for the policy. If globalsFirst is true the
+// queue is wrapped in a two-level class-priority queue that always serves
+// Global subtasks before Local tasks (the GF strategy, section 5.1),
+// preserving the policy's order within each class.
+func New(p Policy, globalsFirst bool) (Queue, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	mk := func() Queue {
+		switch p {
+		case MLF:
+			return NewMLF()
+		case FCFS:
+			return NewFCFS()
+		default:
+			return NewEDF()
+		}
+	}
+	if !globalsFirst {
+		return mk(), nil
+	}
+	return NewClassPriority(mk(), mk()), nil
+}
+
 // edfQueue orders tasks by deadline (earliest first). Deadlines are fixed
 // at submission, so the key is cached in the entry at push time.
 type edfQueue struct {
@@ -24,12 +69,6 @@ func (q *edfQueue) Len() int { return q.h.len() }
 
 // Name implements Queue.
 func (q *edfQueue) Name() string { return "EDF" }
-
-// Reset implements Resetter.
-func (q *edfQueue) Reset() { q.h.reset() }
-
-// Grow implements Grower.
-func (q *edfQueue) Grow(capacity int) { q.h.grow(capacity) }
 
 // fcfsQueue serves tasks in submission-sequence order. Because arrival
 // order is the key, no heap is needed: the queue is a ring-buffer deque
@@ -85,21 +124,6 @@ func (q *fcfsQueue) Len() int { return q.n }
 // Name implements Queue.
 func (q *fcfsQueue) Name() string { return "FCFS" }
 
-// Reset implements Resetter.
-func (q *fcfsQueue) Reset() {
-	for i := range q.buf {
-		q.buf[i] = nil
-	}
-	q.head, q.n = 0, 0
-}
-
-// Grow implements Grower.
-func (q *fcfsQueue) Grow(capacity int) {
-	if capacity > len(q.buf) {
-		q.growTo(capacity)
-	}
-}
-
 // growTo resizes the ring to hold capacity tasks, unrolling the queue to
 // the front of the new buffer.
 func (q *fcfsQueue) growTo(capacity int) {
@@ -138,12 +162,6 @@ func (q *mlfQueue) Len() int { return q.h.len() }
 // Name implements Queue.
 func (q *mlfQueue) Name() string { return "MLF" }
 
-// Reset implements Resetter.
-func (q *mlfQueue) Reset() { q.h.reset() }
-
-// Grow implements Grower.
-func (q *mlfQueue) Grow(capacity int) { q.h.grow(capacity) }
-
 // classPriority is the two-level queue of the GF strategy: global
 // subtasks are always served before local tasks; within each class the
 // wrapped policy's order applies.
@@ -181,14 +199,17 @@ func (q *classPriority) Len() int { return q.globals.Len() + q.locals.Len() }
 // Name implements Queue.
 func (q *classPriority) Name() string { return "GF(" + q.globals.Name() + ")" }
 
-// Reset implements Resetter when both wrapped queues do.
-func (q *classPriority) Reset() {
-	q.globals.(Resetter).Reset()
-	q.locals.(Resetter).Reset()
+// Heap helpers for the standalone queues.
+
+func (h *entryHeap) len() int { return len(h.items) }
+
+func (h *entryHeap) push(key float64, t *task.Task) {
+	h.pushEntry(entry{key: key, seq: t.Seq, t: t})
 }
 
-// Grow implements Grower when both wrapped queues do.
-func (q *classPriority) Grow(capacity int) {
-	q.globals.(Grower).Grow(capacity)
-	q.locals.(Grower).Grow(capacity)
+func (h *entryHeap) pop() *task.Task {
+	if len(h.items) == 0 {
+		return nil
+	}
+	return h.popEntry().t
 }

@@ -7,52 +7,13 @@
 // non-real-time baseline.
 //
 // All queues break ties deterministically by submission sequence number,
-// so simulation runs are reproducible bit-for-bit.
+// so simulation runs are reproducible bit-for-bit. Every node's queue
+// lives in one Bank (bank.go).
 package sched
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/task"
-)
-
-// Queue is a ready queue for one node. Pop receives the current time
-// because laxity-based policies order by dl − now − pex at dispatch time;
-// deadline- and arrival-ordered policies ignore it. Implementations are
-// not safe for concurrent use — the discrete-event simulator is
-// single-threaded, and the live runtime wraps queues in its own locking.
-type Queue interface {
-	// Push adds a task to the queue.
-	Push(t *task.Task)
-	// Pop removes and returns the highest-priority task, or nil when
-	// empty.
-	Pop(now float64) *task.Task
-	// Len returns the number of queued tasks.
-	Len() int
-	// Name identifies the policy ("EDF", "MLF", ...).
-	Name() string
-}
-
-// Resetter is implemented by queues that can be emptied in place, keeping
-// their backing arrays so a reused queue starts at its working capacity.
-// All queues returned by New implement it; the interface is optional so
-// external Queue implementations remain valid.
-type Resetter interface {
-	// Reset discards all queued tasks and keeps allocated capacity.
-	Reset()
-}
-
-// Grower is implemented by queues that can pre-size their backing arrays,
-// so a fresh queue reaches its expected working capacity without growth
-// allocations mid-run. All queues returned by New implement it; like
-// Resetter it is optional for external implementations.
-type Grower interface {
-	// Grow ensures capacity for at least the given number of queued
-	// tasks without further allocation.
-	Grow(capacity int)
-}
-
-// Policy selects a queue implementation by name.
+// Policy names a local scheduling policy.
 type Policy string
 
 // Supported scheduling policies.
@@ -67,30 +28,12 @@ const (
 	FCFS Policy = "FCFS"
 )
 
-// New returns a fresh queue for the policy. If globalsFirst is true the
-// queue is wrapped in a two-level class-priority queue that always serves
-// Global subtasks before Local tasks (the GF strategy, section 5.1),
-// preserving the policy's order within each class.
-func New(p Policy, globalsFirst bool) (Queue, error) {
-	mk := func() (Queue, error) {
-		switch p {
-		case EDF:
-			return NewEDF(), nil
-		case MLF:
-			return NewMLF(), nil
-		case FCFS:
-			return NewFCFS(), nil
-		default:
-			return nil, fmt.Errorf("sched: unknown policy %q", p)
-		}
+// Validate reports an error for a name that is not a supported policy.
+func (p Policy) Validate() error {
+	switch p {
+	case EDF, MLF, FCFS:
+		return nil
+	default:
+		return fmt.Errorf("sched: unknown policy %q", p)
 	}
-	inner, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	if !globalsFirst {
-		return inner, nil
-	}
-	second, _ := mk()
-	return NewClassPriority(inner, second), nil
 }
