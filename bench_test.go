@@ -10,6 +10,7 @@ package repro
 // Paper-scale regeneration is `sdasim -exp <id> -horizon 1e6 -reps 2`.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,11 +25,14 @@ func BenchmarkRunReplications(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 2000
 	const reps = 8
+	sess := NewSession()
+	defer sess.Close()
+	job := Job{Config: cfg, Reps: reps}
 	for _, parallel := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateReplicationsParallel(cfg, reps, parallel); err != nil {
+				if _, err := sess.Run(context.Background(), job, WithParallelism(parallel)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,12 +52,14 @@ func BenchmarkScenarioRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	const reps = 8
+	sess := NewSession()
+	defer sess.Close()
 	for _, parallel := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			b.ReportAllocs()
 			var last *ScenarioResult
 			for i := 0; i < b.N; i++ {
-				res, err := RunScenario(cfg, sc, reps, parallel)
+				res, err := sess.RunScenario(context.Background(), cfg, sc, reps, WithParallelism(parallel))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -101,9 +107,11 @@ func benchArtifact(b *testing.B, id string, reportCurves ...string) {
 func BenchmarkTable1BaselineRun(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 2000
+	sess := NewSession()
+	defer sess.Close()
 	var last *SimMetrics
 	for i := 0; i < b.N; i++ {
-		m, err := Simulate(cfg)
+		m, err := runOne(sess, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,13 +257,15 @@ func BenchmarkScalingThroughput(b *testing.B) {
 				// simulation throughput rather than first-touch page
 				// zeroing. The measured runs below still pay full
 				// per-replication setup.
+				sess := NewSession()
+				defer sess.Close()
 				warm := cfg
 				warm.Horizon, warm.Warmup = 10, 0
-				if _, err := Simulate(warm); err != nil {
+				if _, err := runOne(sess, warm); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
-				m, err := Simulate(cfg)
+				m, err := runOne(sess, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -274,8 +284,10 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	cfg := BaselineConfig()
 	cfg.Horizon = float64(b.N) * 10
 	cfg.Warmup = 1
+	sess := NewSession()
+	defer sess.Close()
 	b.ResetTimer()
-	m, err := Simulate(cfg)
+	m, err := runOne(sess, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -41,12 +42,15 @@ func TestPoolingBitIdenticalBurstScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	const reps, parallel = 3, 4
-	pooled, err := RunScenario(cfg, sc, reps, parallel)
+	sess := NewSession(WithParallelism(parallel))
+	defer sess.Close()
+	ctx := context.Background()
+	pooled, err := sess.RunScenario(ctx, cfg, sc, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisablePooling = true
-	ref, err := RunScenario(cfg, sc, reps, parallel)
+	ref, err := sess.RunScenario(ctx, cfg, sc, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +81,14 @@ func TestPoolingAbortPathBitIdentical(t *testing.T) {
 	cfg.TardyAbort = true
 	cfg.SSP = "EQF"
 	cfg.PSP = "DIV-1"
-	pooled, err := Simulate(cfg)
+	sess := NewSession()
+	defer sess.Close()
+	pooled, err := runOne(sess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisablePooling = true
-	ref, err := Simulate(cfg)
+	ref, err := runOne(sess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +108,16 @@ func TestPooledRunnerRaceHammer(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 1500
 	const reps = 16
-	seq, err := SimulateReplicationsParallel(cfg, reps, 1)
+	sess := NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	job := Job{Config: cfg, Reps: reps}
+	seq, err := sess.Run(ctx, job, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		par, err := SimulateReplicationsParallel(cfg, reps, 8)
+		par, err := sess.Run(ctx, job, WithParallelism(8))
 		if err != nil {
 			t.Fatal(err)
 		}

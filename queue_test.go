@@ -30,13 +30,15 @@ func TestQueueKindsBitIdenticalLargeTopology(t *testing.T) {
 	base.Load = 0.7
 	base.SSP, base.PSP = "EQF", "DIV-1"
 
+	sess := NewSession()
+	defer sess.Close()
 	for _, pooling := range []bool{true, false} {
 		var want string
 		for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder, EventQueueAuto} {
 			cfg := base
 			cfg.EventQueue = kind
 			cfg.DisablePooling = !pooling
-			m, err := Simulate(cfg)
+			m, err := runOne(sess, cfg)
 			if err != nil {
 				t.Fatalf("queue=%q pooling=%t: %v", kind, pooling, err)
 			}
@@ -62,11 +64,13 @@ func TestQueueKindsBitIdenticalAbortPath(t *testing.T) {
 	base.TardyAbort = true
 	base.SSP, base.PSP = "EQF", "DIV-1"
 
+	sess := NewSession()
+	defer sess.Close()
 	var want string
 	for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder} {
 		cfg := base
 		cfg.EventQueue = kind
-		m, err := Simulate(cfg)
+		m, err := runOne(sess, cfg)
 		if err != nil {
 			t.Fatalf("queue=%q: %v", kind, err)
 		}
@@ -85,7 +89,9 @@ func TestQueueKindsBitIdenticalAbortPath(t *testing.T) {
 func TestQueueKindRejected(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.EventQueue = "btree"
-	if _, err := Simulate(cfg); err == nil {
-		t.Fatal("Simulate accepted an unknown EventQueue kind")
+	sess := NewSession()
+	defer sess.Close()
+	if _, err := runOne(sess, cfg); err == nil {
+		t.Fatal("Session.Run accepted an unknown EventQueue kind")
 	}
 }

@@ -53,11 +53,6 @@
 // interface (Run(ctx, Shard) (ShardResult, error)) is the seam a
 // distributed runner plugs into via NewSessionWithBackend.
 //
-// The pre-session free functions (Simulate, SimulateReplications,
-// SimulateReplicationsParallel, RunScenario) remain as deprecated thin
-// wrappers over a package-level default session, with byte-identical
-// outputs.
-//
 // Quick start (static planning, no simulation):
 //
 //	g := repro.MustParseGraph("[gather:1 [f1:1 || f2:1.5] decide:2]")
@@ -69,8 +64,6 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/core"
@@ -236,53 +229,6 @@ func BaselineConfig() SimConfig { return system.Baseline() }
 // PSPBaselineConfig returns the section 5.2 parallel-subtask setting.
 func PSPBaselineConfig() SimConfig { return system.PSPBaseline() }
 
-// Simulate runs one replication of the simulation model.
-//
-// Deprecated: use Session.Run with a single-replication Job; Simulate
-// delegates to a package-level default session (byte-identical results)
-// but cannot be cancelled and shares its warm state process-wide.
-func Simulate(cfg SimConfig) (*SimMetrics, error) {
-	res, err := defaultSession().Run(context.Background(),
-		Job{Config: cfg, Reps: 1}, WithParallelism(1))
-	if err != nil {
-		return nil, err
-	}
-	return res.Runs[0], nil
-}
-
-// SimulateReplications runs reps independent replications and aggregates
-// miss percentages with 95% confidence intervals. Replications fan out
-// across all cores; results are bit-identical to a sequential run because
-// every replication owns its seed-derived RNG substreams.
-//
-// Deprecated: use Session.Run — the Job's Reps field replaces the
-// positional argument, and the RunResult carries the same runs and
-// estimates (RunResult.Replication converts). This wrapper delegates to
-// the package-level default session with byte-identical outputs.
-func SimulateReplications(cfg SimConfig, reps int) (*SimReplication, error) {
-	return SimulateReplicationsParallel(cfg, reps, 0)
-}
-
-// SimulateReplicationsParallel is SimulateReplications with an explicit
-// worker bound: parallelism <= 0 uses GOMAXPROCS, 1 forces the
-// sequential path. Attaching a TraceRecorder forces parallelism 1.
-//
-// Deprecated: use Session.Run with WithParallelism, which replaces the
-// positional argument and adds cancellation and streaming. This wrapper
-// delegates to the package-level default session with byte-identical
-// outputs.
-func SimulateReplicationsParallel(cfg SimConfig, reps, parallelism int) (*SimReplication, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("system: reps = %d, want > 0", reps)
-	}
-	res, err := defaultSession().Run(context.Background(),
-		Job{Config: cfg, Reps: reps}, WithParallelism(parallelism))
-	if err != nil {
-		return nil, err
-	}
-	return res.Replication(), nil
-}
-
 // Scenarios --------------------------------------------------------------
 
 // Scenario is a compiled declarative scenario: a timeline of workload
@@ -356,23 +302,6 @@ func ChurnScenario(nodes int, rate, horizon float64, o ChurnOptions) (*Scenario,
 	return scenario.Churn(nodes, rate, horizon, o)
 }
 
-// RunScenario executes reps replications of cfg under the scenario
-// (parallelism <= 0 uses GOMAXPROCS, 1 is sequential) and merges the
-// time series across replications. Results — including the merged
-// series' CSV bytes — are identical at every parallelism level.
-//
-// Deprecated: use Session.RunScenario (or Session.Run with a scenario
-// Job, which also offers streaming and cancellation). This wrapper
-// delegates to the package-level default session with byte-identical
-// outputs.
-func RunScenario(cfg SimConfig, sc *Scenario, reps, parallelism int) (*ScenarioResult, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("system: reps = %d, want > 0", reps)
-	}
-	return defaultSession().RunScenario(context.Background(), cfg, sc, reps,
-		WithParallelism(parallelism))
-}
-
 // Experiments -----------------------------------------------------------
 
 // Experiment is a runnable paper artifact (table or figure).
@@ -405,9 +334,9 @@ func Experiments() []Experiment { return experiment.All() }
 func ExperimentByID(id string) (Experiment, error) { return experiment.ByID(id) }
 
 // RunExperiment runs the experiment with the given id. With a zero
-// Options.Session it executes on the package-level default session
-// (warm workspaces shared with the other free functions); prefer
-// Session.Experiment to control the session and the context explicitly.
+// Options.Session it executes on a package-level default session whose
+// warm workspaces persist across calls; prefer Session.Experiment to
+// control the session and the context explicitly.
 func RunExperiment(id string, o ExperimentOptions) (*ExperimentResult, error) {
 	if o.Session == nil {
 		o.Session = defaultSession().Session

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -54,7 +55,9 @@ func TestStrategyLookups(t *testing.T) {
 func TestSimulateBaseline(t *testing.T) {
 	cfg := BaselineConfig()
 	cfg.Horizon = 5000
-	m, err := Simulate(cfg)
+	sess := NewSession()
+	defer sess.Close()
+	m, err := runOne(sess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +72,13 @@ func TestSimulateBaseline(t *testing.T) {
 func TestSimulateReplications(t *testing.T) {
 	cfg := PSPBaselineConfig()
 	cfg.Horizon = 3000
-	rep, err := SimulateReplications(cfg, 2)
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.Run(context.Background(), Job{Config: cfg, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 2 {
+	if rep := res.Replication(); len(rep.Runs) != 2 {
 		t.Fatalf("runs = %d, want 2", len(rep.Runs))
 	}
 }
@@ -144,7 +149,9 @@ func TestTraceFacade(t *testing.T) {
 	cfg.Horizon = 500
 	rec := NewTraceRecorder(100)
 	cfg.Trace = rec
-	if _, err := Simulate(cfg); err != nil {
+	sess := NewSession()
+	defer sess.Close()
+	if _, err := runOne(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() != 100 {
@@ -180,7 +187,9 @@ func TestScenarioFacade(t *testing.T) {
 	}
 	cfg := BaselineConfig()
 	cfg.Horizon = 3000
-	res, err := RunScenario(cfg, sc, 2, 0)
+	sess := NewSession()
+	defer sess.Close()
+	res, err := sess.RunScenario(context.Background(), cfg, sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

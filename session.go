@@ -20,9 +20,6 @@ import (
 // options instead of positional arguments, context-aware cancellation
 // with deterministic seed-prefix partial results, a streaming surface,
 // and a pluggable Backend — the seam a distributed runner implements.
-// The pre-session free functions (Simulate, SimulateReplications,
-// RunScenario, ...) remain as deprecated wrappers over a package-level
-// default session with byte-identical outputs.
 
 // Job describes one run request: a configuration, an optional scenario,
 // and a replication count (0 means one). Replication i uses seed
@@ -245,7 +242,7 @@ func (s *Session) Experiment(ctx context.Context, id string, o ExperimentOptions
 
 // RunScenario executes a scenario job through this session and shapes
 // the outcome as a ScenarioResult (the merged-series result type the
-// scenario CLI and the deprecated free function share). Like every
+// scenario CLI prints). Like every
 // scenario entry point it requires reps > 0; run a scenario Job through
 // Session.Run directly for the Job semantics (0 means one replication,
 // partial results on cancellation).
@@ -253,9 +250,9 @@ func (s *Session) RunScenario(ctx context.Context, cfg SimConfig, sc *Scenario, 
 	return experiment.RunScenarioWith(ctx, s.Session, cfg, sc, reps, opts...)
 }
 
-// defaultSession backs the deprecated free functions. It is created on
-// first use and lives for the process: repeated Simulate calls reuse the
-// same warm workspaces a Session user would.
+// defaultSession backs RunExperiment calls that name no session. It is
+// created on first use and lives for the process, so repeated calls
+// reuse its warm workspaces.
 var (
 	defaultSessionOnce sync.Once
 	defaultSessionVal  *Session

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
-// Golden-equality tests for the Session redesign: the deprecated free
-// functions are thin wrappers over a default session, and these tests
-// prove old call and new call emit byte-identical artifacts.
+// runOne runs cfg as a one-replication job on sess, sequentially.
+func runOne(sess *Session, cfg SimConfig) (*SimMetrics, error) {
+	res, err := sess.Run(context.Background(), Job{Config: cfg}, WithParallelism(1))
+	if err != nil {
+		return nil, err
+	}
+	return res.Runs[0], nil
+}
 
 // simSig fingerprints a run for byte-level comparison of everything the
 // renderers consume.
@@ -20,98 +24,6 @@ func simSig(m *SimMetrics) string {
 		m.GlobalGenerated, m.GlobalDone, m.GlobalAborted,
 		m.MDLocal(), m.MDGlobal(), m.LocalResponse.Mean(),
 		m.GlobalResponse.Mean(), m.GlobalTardiness.Mean())
-}
-
-// TestDeprecatedSimulateMatchesSession: Simulate == Session.Run of a
-// one-replication job.
-func TestDeprecatedSimulateMatchesSession(t *testing.T) {
-	cfg := BaselineConfig()
-	cfg.Horizon = 4000
-	old, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := NewSession()
-	defer sess.Close()
-	res, err := sess.Run(context.Background(), Job{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simSig(old) != simSig(res.Runs[0]) {
-		t.Fatalf("Simulate diverged from Session.Run:\nold %s\nnew %s",
-			simSig(old), simSig(res.Runs[0]))
-	}
-}
-
-// TestDeprecatedReplicationsMatchSession: SimulateReplicationsParallel
-// == Session.Run at matching parallelism, runs and estimates alike.
-func TestDeprecatedReplicationsMatchSession(t *testing.T) {
-	cfg := PSPBaselineConfig()
-	cfg.Horizon = 2500
-	const reps = 3
-	for _, par := range []int{1, 4} {
-		old, err := SimulateReplicationsParallel(cfg, reps, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := NewSession(WithParallelism(par))
-		res, err := sess.Run(context.Background(), Job{Config: cfg, Reps: reps})
-		sess.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range old.Runs {
-			if simSig(old.Runs[i]) != simSig(res.Runs[i]) {
-				t.Fatalf("parallelism %d rep %d diverged", par, i)
-			}
-		}
-		if old.LocalMD != res.LocalMD || old.GlobalMD != res.GlobalMD {
-			t.Fatalf("parallelism %d: estimates diverged", par)
-		}
-	}
-}
-
-// TestDeprecatedRunScenarioMatchesSessionCSV is the golden-CSV test:
-// the deprecated RunScenario and Session.RunScenario must emit
-// byte-identical merged time-series CSV, at parallelism 1 and N,
-// pooling on and off.
-func TestDeprecatedRunScenarioMatchesSessionCSV(t *testing.T) {
-	cfg := BaselineConfig()
-	cfg.Horizon = 10000
-	sc, err := ScenarioPreset("storm", cfg.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const reps = 3
-	csv := func(res *ScenarioResult) string {
-		var b strings.Builder
-		if err := res.Series.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	for _, par := range []int{1, 4} {
-		for _, pooling := range []bool{true, false} {
-			c := cfg
-			c.DisablePooling = !pooling
-			old, err := RunScenario(c, sc, reps, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess := NewSession(WithParallelism(par))
-			res, err := sess.RunScenario(context.Background(), c, sc, reps)
-			sess.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if csv(old) != csv(res) {
-				t.Fatalf("par=%d pooling=%t: deprecated RunScenario CSV differs from Session", par, pooling)
-			}
-			if old.LocalMD != res.LocalMD || old.GlobalMD != res.GlobalMD {
-				t.Fatalf("par=%d pooling=%t: estimates diverged", par, pooling)
-			}
-		}
-	}
 }
 
 // TestSessionExperimentMatchesRunExperiment: the session-scoped

@@ -34,14 +34,16 @@ func TestRecordWorkingSet65536(t *testing.T) {
 
 	// Warm run: populate every arena (slots, lanes, streams, pools) so
 	// the measured run is the steady state a long simulation lives in.
-	if _, err := Simulate(cfg); err != nil {
+	sess := NewSession()
+	defer sess.Close()
+	if _, err := runOne(sess, cfg); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	m, err := Simulate(cfg)
+	m, err := runOne(sess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
