@@ -400,12 +400,6 @@ type Result struct {
 	Series *scenario.Series
 }
 
-// Replication converts the result to the legacy system.Replication
-// shape used by the deprecated free functions.
-func (r *Result) Replication() *system.Replication {
-	return &system.Replication{Runs: r.Runs, LocalMD: r.LocalMD, GlobalMD: r.GlobalMD}
-}
-
 // Run executes the job and blocks until it finishes or ctx ends it
 // early. Cancellation is deterministic-safe: replications are claimed in
 // seed order and never interrupted mid-run, so on cancellation Run

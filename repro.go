@@ -185,9 +185,6 @@ type SimConfig = system.Config
 // SimMetrics is the outcome of one simulation run.
 type SimMetrics = system.Metrics
 
-// SimReplication aggregates runs across seeds.
-type SimReplication = system.Replication
-
 // Shape describes the structure of generated global tasks.
 type Shape = workload.Shape
 

@@ -78,8 +78,8 @@ func TestSimulateReplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := res.Replication(); len(rep.Runs) != 2 {
-		t.Fatalf("runs = %d, want 2", len(rep.Runs))
+	if len(res.Runs) != 2 {
+		t.Fatalf("runs = %d, want 2", len(res.Runs))
 	}
 }
 
