@@ -76,8 +76,7 @@ func goldenCases() []goldenCase {
 			},
 		})
 	}
-	for _, p := range goldenPresets {
-		preset := p
+	for _, preset := range goldenPresets {
 		name := "preset-" + preset
 		cases = append(cases, goldenCase{
 			name: name,

@@ -225,7 +225,7 @@ func (g *Group) dispatch(i int) {
 	}
 	for {
 		now := g.eng.Now()
-		t := g.bank.Pop(i, now)
+		t := g.bank.Pop(i)
 		if t == nil {
 			return
 		}

@@ -167,10 +167,9 @@ func (b *Bank) Push(i int, t *task.Task) {
 }
 
 // Pop removes and returns node i's highest-priority task, or nil when
-// the queue is empty. Every policy keys statically, so now only documents
-// the dispatch time: MLF's laxity dl − now − pex orders like dl − pex.
-func (b *Bank) Pop(i int, now float64) *task.Task {
-	_ = now
+// the queue is empty. No policy needs the dispatch time: MLF's laxity
+// dl − now − pex orders exactly like its static key dl − pex.
+func (b *Bank) Pop(i int) *task.Task {
 	if b.globalsFirst {
 		if t := b.lanes[2*i].pop(); t != nil {
 			return t

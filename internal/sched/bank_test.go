@@ -74,7 +74,7 @@ func TestBankMatchesQueues(t *testing.T) {
 					// back; its Seq is the configured minimum of the
 					// ordering class it pops from.
 					now := r.Uniform(0, 100)
-					a, b := bank.Pop(i, now), ref[i].Pop(now)
+					a, b := bank.Pop(i), ref[i].Pop(now)
 					if a != b {
 						t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
 					}
@@ -84,7 +84,7 @@ func TestBankMatchesQueues(t *testing.T) {
 					}
 				default:
 					now := r.Uniform(0, 100)
-					a, b := bank.Pop(i, now), ref[i].Pop(now)
+					a, b := bank.Pop(i), ref[i].Pop(now)
 					if a != b {
 						t.Fatalf("step %d node %d: bank popped %v, queues popped %v", step, i, a, b)
 					}
@@ -99,7 +99,7 @@ func TestBankMatchesQueues(t *testing.T) {
 			// Drain everything and compare the full tail order.
 			for i := 0; i < nodes; i++ {
 				for {
-					a, b := bank.Pop(i, 50), ref[i].Pop(50)
+					a, b := bank.Pop(i), ref[i].Pop(50)
 					if a != b {
 						t.Fatalf("drain node %d: bank popped %v, queues popped %v", i, a, b)
 					}
@@ -132,10 +132,10 @@ func TestBankConfigureReuse(t *testing.T) {
 	if got := b.Len(1); got != 10 {
 		t.Fatalf("Len(1) = %d, want 10", got)
 	}
-	if tk := b.Pop(0, 0); tk == nil || tk.ID != 1 {
+	if tk := b.Pop(0); tk == nil || tk.ID != 1 {
 		t.Fatalf("Pop(0) = %v, want task 1", tk)
 	}
-	if tk := b.Pop(2, 0); tk == nil || tk.ID != 2 {
+	if tk := b.Pop(2); tk == nil || tk.ID != 2 {
 		t.Fatalf("Pop(2) = %v, want task 2", tk)
 	}
 	// Same shape: reset in place, switching policy is allowed.

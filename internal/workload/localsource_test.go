@@ -42,8 +42,7 @@ type LocalParams struct {
 
 // LocalSource generates local tasks at one node. Arrivals self-schedule
 // on the engine, so running the engine to a horizon bounds generation
-// naturally. The zero value is usable after Init + Reconfigure; large
-// topologies hold their sources in one contiguous slice of values.
+// naturally. The zero value is usable after Init + Reconfigure.
 type LocalSource struct {
 	eng    *sim.Engine
 	r      *rng.Source
