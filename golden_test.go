@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,60 @@ const (
 
 // goldenPresets lists every built-in scenario preset.
 var goldenPresets = []string{"burst", "heavytail", "outage", "ramp", "storm"}
+
+// goldenRun is a plain (scenario-free) job pinned for a code path the
+// experiments and presets reach only lightly.
+type goldenRun struct {
+	name string
+	cfg  func() SimConfig
+	reps int
+	// promotes requires the event queue to move from the heap to the
+	// ladder in every replication, so the case keeps covering the
+	// promotion path.
+	promotes bool
+}
+
+// goldenRuns pins two large-topology paths: a 600-node run whose event
+// queue promotes to the ladder, and the tardy-abort path at the same
+// scale, where aborted global instances recycle task objects while
+// their queued siblings still drain.
+var goldenRuns = []goldenRun{
+	{name: "run-promote-600", reps: 2, promotes: true, cfg: func() SimConfig {
+		cfg := BaselineConfig()
+		cfg.Nodes = 600
+		cfg.Horizon = 600
+		cfg.Load = 0.7
+		cfg.SSP, cfg.PSP = "EQF", "DIV-1"
+		return cfg
+	}},
+	{name: "run-abort-600", reps: 2, promotes: true, cfg: func() SimConfig {
+		cfg := BaselineConfig()
+		cfg.Nodes = 600
+		cfg.Horizon = 600
+		cfg.Load = 0.8
+		cfg.TardyAbort = true
+		cfg.SSP, cfg.PSP = "EQF", "DIV-1"
+		return cfg
+	}},
+}
+
+// runCSV renders one row per replication: every count and mean a
+// diverging pop order or a recycling bug would disturb, floats in
+// shortest round-trip form.
+func runCSV(res *RunResult) string {
+	var b strings.Builder
+	b.WriteString("seed,local_generated,local_done,local_aborted,global_generated,global_done,global_aborted," +
+		"md_local,md_global,local_response_mean,global_response_mean,global_tardiness_mean\n")
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for i, m := range res.Runs {
+		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%s,%s,%s,%s,%s\n", res.Seeds[i],
+			m.LocalGenerated, m.LocalDone, m.LocalAborted,
+			m.GlobalGenerated, m.GlobalDone, m.GlobalAborted,
+			g(m.MDLocal()), g(m.MDGlobal()), g(m.LocalResponse.Mean()),
+			g(m.GlobalResponse.Mean()), g(m.GlobalTardiness.Mean()))
+	}
+	return b.String()
+}
 
 // goldenCase is one pinned output: a file stem, the sdascn arguments
 // that reproduce it (empty for registry experiments), and a producer
@@ -106,6 +161,40 @@ func goldenCases() []goldenCase {
 					return "", err
 				}
 				return b.String(), nil
+			},
+		})
+	}
+	for _, r := range goldenRuns {
+		cases = append(cases, goldenCase{
+			name: r.name,
+			csv: func(ctx context.Context, sess *Session, nopool bool) (string, error) {
+				// Every event queue must pop in the same order: the
+				// heap, the ladder and the promoting default all render
+				// the same CSV.
+				var want string
+				for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder, EventQueueAuto} {
+					opts := []RunOption{WithEventQueue(kind)}
+					if nopool {
+						opts = append(opts, WithPoolingDisabled())
+					}
+					res, err := sess.Run(ctx, Job{Config: r.cfg(), Reps: r.reps}, opts...)
+					if err != nil {
+						return "", err
+					}
+					if kind == EventQueueAuto && r.promotes {
+						for i, m := range res.Runs {
+							if m.Engine.QueuePromotions == 0 {
+								return "", fmt.Errorf("replication %d never promoted its event queue", i)
+							}
+						}
+					}
+					got := runCSV(res)
+					if want != "" && got != want {
+						return "", fmt.Errorf("queue %q diverged:\n%s\nwant:\n%s", kind, got, want)
+					}
+					want = got
+				}
+				return want, nil
 			},
 		})
 	}
