@@ -220,58 +220,63 @@ func BenchmarkGraphParse(b *testing.B) {
 }
 
 // BenchmarkScalingThroughput measures full-system simulator speed
-// across topology sizes and event-queue implementations. The per-node
-// load is the Table 1 baseline at every size, so the pending-event
-// count (and with it the event queue's share of the runtime) grows with
-// the node count; the horizon shrinks proportionally so one op is
-// roughly constant simulated work. Results are byte-identical across
-// the queue=... sub-benchmarks — only tasks/s may differ.
+// across topology sizes. The per-node load is the Table 1 baseline at
+// every size, so the pending-event count (and with it the event queue's
+// share of the runtime) grows with the node count; the horizon shrinks
+// proportionally so one op is roughly constant simulated work.
 //
-// The recorded numbers (BENCH_pr4.json) show the ladder ahead of the
-// binary-heap path from nodes=64 up; CI's bench-regression job pins
-// each sub-benchmark against its own committed baseline within
-// tolerance (benchcheck compares absolute numbers per benchmark, not
-// ladder-vs-heap ratios). The full-system ratio is Amdahl-bounded —
-// model work (RNG draws, ready queues, stage bookkeeping) dominates as
-// the per-node working set outgrows the cache — so the event core's
-// isolated scaling advantage is measured separately by
-// BenchmarkEventCoreScaling in internal/sim, which strips the model
-// away (its recorded ladder-vs-heap ratio reaches 2x at 1M pending
-// events).
+// Each row's queue= label names the event queue the engine runs on:
+// the binary heap up to 64 nodes, the ladder from 1024 nodes, where
+// the pending set crosses the promotion threshold during setup. A row
+// fails if the engine's promotion count disagrees with its label, so
+// the names stay comparable with the recorded baselines
+// (BENCH_pr9.json, which also recorded heap and ladder pinned at every
+// size). CI's bench-regression job pins each sub-benchmark against its
+// own committed baseline within tolerance. The full-system ratio is
+// Amdahl-bounded — model work (RNG draws, ready queues, stage
+// bookkeeping) dominates as the per-node working set outgrows the
+// cache — so the event core's isolated scaling advantage is measured
+// separately by BenchmarkEventCoreScaling in internal/sim, which strips
+// the model away.
 func BenchmarkScalingThroughput(b *testing.B) {
-	for _, k := range []int{6, 64, 1024, 16384, 65536} {
-		for _, q := range []EventQueueKind{EventQueueHeap, EventQueueLadder} {
-			b.Run(fmt.Sprintf("nodes=%d/queue=%s", k, q), func(b *testing.B) {
-				b.ReportAllocs()
-				cfg := BaselineConfig()
-				cfg.Nodes = k
-				cfg.EventQueue = q
-				cfg.Horizon = float64(b.N) * 10 * 6 / float64(k)
-				if cfg.Horizon < 10 {
-					cfg.Horizon = 10
-				}
-				cfg.Warmup = cfg.Horizon / 100
-				// Steady-state measurement: fault in the topology's
-				// arenas (slots, lanes, stream tables — ~100 MB at 64k
-				// nodes) before the clock starts, so the number reports
-				// simulation throughput rather than first-touch page
-				// zeroing. The measured runs below still pay full
-				// per-replication setup.
-				sess := NewSession()
-				defer sess.Close()
-				warm := cfg
-				warm.Horizon, warm.Warmup = 10, 0
-				if _, err := runOne(sess, warm); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				m, err := runOne(sess, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(m.LocalDone+m.GlobalDone)/b.Elapsed().Seconds(), "tasks/s")
-			})
-		}
+	for _, row := range []struct {
+		nodes int
+		queue string
+	}{{6, "heap"}, {64, "heap"}, {1024, "ladder"}, {16384, "ladder"}, {65536, "ladder"}} {
+		k := row.nodes
+		b.Run(fmt.Sprintf("nodes=%d/queue=%s", k, row.queue), func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := BaselineConfig()
+			cfg.Nodes = k
+			cfg.Horizon = float64(b.N) * 10 * 6 / float64(k)
+			if cfg.Horizon < 10 {
+				cfg.Horizon = 10
+			}
+			cfg.Warmup = cfg.Horizon / 100
+			// Steady-state measurement: fault in the topology's
+			// arenas (slots, lanes, stream tables — ~100 MB at 64k
+			// nodes) before the clock starts, so the number reports
+			// simulation throughput rather than first-touch page
+			// zeroing. The measured runs below still pay full
+			// per-replication setup.
+			sess := NewSession()
+			defer sess.Close()
+			warm := cfg
+			warm.Horizon, warm.Warmup = 10, 0
+			if _, err := runOne(sess, warm); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			m, err := runOne(sess, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if promoted := m.Engine.QueuePromotions > 0; promoted != (row.queue == "ladder") {
+				b.Fatalf("engine made %d queue promotions, which contradicts queue=%s",
+					m.Engine.QueuePromotions, row.queue)
+			}
+			b.ReportMetric(float64(m.LocalDone+m.GlobalDone)/b.Elapsed().Seconds(), "tasks/s")
+		})
 	}
 }
 

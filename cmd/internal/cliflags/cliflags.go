@@ -1,8 +1,8 @@
 // Package cliflags holds the flag plumbing shared by the simulation
-// CLIs (cmd/sdasim, cmd/sdascn): the worker-pool bound, the event-queue
-// selector, the execution backend, the topology override, and the
-// profiling switches — one registration, one validation, one profiling
-// starter, instead of each command repeating them.
+// CLIs (cmd/sdasim, cmd/sdascn): the worker-pool bound, the execution
+// backend, the topology override, and the profiling switches — one
+// registration, one validation, one profiling starter, instead of each
+// command repeating them.
 package cliflags
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/session"
-	"repro/internal/sim"
 )
 
 // Common carries the shared flag values after parsing.
@@ -29,9 +28,6 @@ type Common struct {
 	// Parallel is the worker-pool bound (-parallel): 0 = all cores,
 	// 1 = sequential. Results are identical at every setting.
 	Parallel int
-	// Queue names the event-queue implementation (-queue): "" or
-	// "auto", "heap", "ladder". Results are byte-identical across kinds.
-	Queue string
 	// Nodes overrides the node count k (-nodes); 0 keeps the default.
 	Nodes int
 	// Backend selects the execution backend (-backend): "pool" runs
@@ -84,8 +80,6 @@ func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.IntVar(&c.Parallel, "parallel", 0,
 		"worker-pool size: 0 = all cores, 1 = sequential (results are identical either way)")
-	fs.StringVar(&c.Queue, "queue", "",
-		"event-queue implementation: auto (default; heap, ladder-promoted at scale), heap, or ladder — results are byte-identical, only speed differs")
 	fs.IntVar(&c.Nodes, "nodes", 0,
 		"override the node count k for every replication (default: the run's own setting, Table 1: 6)")
 	fs.StringVar(&c.Backend, "backend", "pool",
@@ -132,11 +126,6 @@ func (c *Common) ArmFailpoints() error {
 		return err
 	}
 	return os.Setenv(failpoint.EnvVar, c.Failpoints)
-}
-
-// QueueKind validates and parses the -queue flag.
-func (c *Common) QueueKind() (sim.QueueKind, error) {
-	return sim.ParseQueueKind(c.Queue)
 }
 
 // ValidateNodes rejects a negative -nodes override.

@@ -22,11 +22,8 @@ func parse(t *testing.T, args ...string) *Common {
 
 func TestRegisterDefaults(t *testing.T) {
 	c := parse(t)
-	if c.Parallel != 0 || c.Queue != "" || c.Nodes != 0 || c.CPUProfile != "" || c.MemProfile != "" {
+	if c.Parallel != 0 || c.Nodes != 0 || c.CPUProfile != "" || c.MemProfile != "" {
 		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	if _, err := c.QueueKind(); err != nil {
-		t.Fatalf("default queue rejected: %v", err)
 	}
 	if err := c.ValidateNodes(); err != nil {
 		t.Fatalf("default nodes rejected: %v", err)
@@ -34,20 +31,13 @@ func TestRegisterDefaults(t *testing.T) {
 }
 
 func TestRegisterParsesShared(t *testing.T) {
-	c := parse(t, "-parallel", "4", "-queue", "ladder", "-nodes", "96")
-	if c.Parallel != 4 || c.Queue != "ladder" || c.Nodes != 96 {
+	c := parse(t, "-parallel", "4", "-nodes", "96")
+	if c.Parallel != 4 || c.Nodes != 96 {
 		t.Fatalf("parsed %+v", c)
-	}
-	kind, err := c.QueueKind()
-	if err != nil || string(kind) != "ladder" {
-		t.Fatalf("QueueKind = %q, %v", kind, err)
 	}
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := parse(t, "-queue", "btree").QueueKind(); err == nil {
-		t.Error("bad queue accepted")
-	}
 	if err := parse(t, "-nodes", "-3").ValidateNodes(); err == nil {
 		t.Error("negative nodes accepted")
 	}

@@ -46,28 +46,6 @@ func TestPresetRunEmitsCSV(t *testing.T) {
 	}
 }
 
-// TestQueueFlagIsByteIdentical pins the event-queue contract at the
-// CLI: the same scenario emits byte-identical time-series CSV under
-// -queue heap, -queue ladder, and the auto default, including at a node
-// count large enough for auto to promote mid-run.
-func TestQueueFlagIsByteIdentical(t *testing.T) {
-	var want string
-	for _, queue := range []string{"heap", "ladder", "auto"} {
-		out, _, err := runCmd(t, "-preset", "burst", "-horizon", "2000",
-			"-reps", "2", "-nodes", "96", "-quiet", "-queue", queue)
-		if err != nil {
-			t.Fatalf("queue=%s: %v", queue, err)
-		}
-		if want == "" {
-			want = out
-			continue
-		}
-		if out != want {
-			t.Fatalf("-queue %s CSV differs from heap output", queue)
-		}
-	}
-}
-
 func TestSpecFileRun(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "spec.json")
@@ -151,7 +129,10 @@ func TestErrors(t *testing.T) {
 		{name: "bad horizon", args: []string{"-preset", "burst", "-horizon", "-5"}},
 		{name: "bad strategy", args: []string{"-preset", "burst", "-ssp", "WAT", "-horizon", "1000"}},
 		{name: "event beyond nodes", args: []string{"-preset", "outage", "-nodes", "1", "-horizon", "1000"}},
-		{name: "bad queue", args: []string{"-preset", "burst", "-queue", "btree", "-horizon", "1000"}},
+		// -queue was removed (the engine picks its queue); a script
+		// still passing it fails instead of being silently ignored.
+		{name: "bad queue", args: []string{"-preset", "burst", "-queue", "heap", "-horizon", "1000"}},
+		{name: "nopool", args: []string{"-preset", "burst", "-nopool", "-horizon", "1000"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

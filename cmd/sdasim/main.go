@@ -9,7 +9,6 @@
 //	sdasim -exp fig4 -format csv -out results/
 //	sdasim -exp all -parallel 8 -progress   # bound the worker pool
 //	sdasim -exp abl-hot -nodes 1024         # scale the topology
-//	sdasim -exp fig2b -queue ladder         # pin an event queue
 //	sdasim -exp fig2b -backend proc -workers 3   # fan out across processes
 //
 // Every experiment runs through one repro.Session, so consecutive
@@ -21,9 +20,9 @@
 //
 // -nodes overrides the node count k for every replication (experiments
 // that pin node-dependent parameters reject incompatible overrides with
-// a descriptive error); -queue selects the engine's event queue (auto,
-// heap, ladder) — results are byte-identical across queues, only speed
-// differs with topology size.
+// a descriptive error). The engine picks its event queue itself: a
+// binary heap at paper scale, promoted to a ladder queue once a large
+// topology's pending-event set outgrows it.
 //
 // Experiment ids follow DESIGN.md: table1, fig2a, fig2b, fig3, fig4,
 // combined, abl-pexerr, abl-abort, abl-mlf, abl-m, abl-hetm, abl-hot,
@@ -134,10 +133,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 	}
 
-	queueKind, err := common.QueueKind()
-	if err != nil {
-		return err
-	}
 	if err := common.ValidateNodes(); err != nil {
 		return err
 	}
@@ -175,7 +170,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		MaxReps:     *maxReps,
 		Parallelism: common.Parallel,
 		Nodes:       common.Nodes,
-		EventQueue:  queueKind,
 	}
 	for _, e := range exps {
 		// One meter per experiment: sweep cells completed, rate, ETA.

@@ -159,32 +159,6 @@ func TestNodesOverride(t *testing.T) {
 	}
 }
 
-// TestQueueFlagIsByteIdentical pins the event-queue contract at the CLI:
-// -queue heap and -queue ladder must render identical artifacts.
-func TestQueueFlagIsByteIdentical(t *testing.T) {
-	render := func(queue string) string {
-		t.Helper()
-		var b strings.Builder
-		err := run([]string{"-exp", "fig2b", "-horizon", "900", "-reps", "1",
-			"-format", "csv", "-queue", queue}, &b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(b.String(), "\n")
-		kept := lines[:0]
-		for _, l := range lines {
-			if !strings.HasPrefix(l, "== ") {
-				kept = append(kept, l)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	heap, ladder := render("heap"), render("ladder")
-	if heap != ladder {
-		t.Fatalf("-queue heap and -queue ladder rendered different CSV:\nheap:\n%s\nladder:\n%s", heap, ladder)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	tests := []struct {
 		name string
@@ -193,7 +167,8 @@ func TestRunErrors(t *testing.T) {
 		{name: "no exp", args: []string{}},
 		{name: "unknown exp", args: []string{"-exp", "nope"}},
 		{name: "bad format", args: []string{"-exp", "table1", "-format", "xml"}},
-		{name: "bad queue", args: []string{"-exp", "table1", "-queue", "btree"}},
+		// -queue was removed: the engine picks its queue itself.
+		{name: "bad queue", args: []string{"-exp", "table1", "-queue", "heap"}},
 		{name: "negative nodes", args: []string{"-exp", "table1", "-nodes", "-3"}},
 	}
 	for _, tt := range tests {

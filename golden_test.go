@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/session"
 )
 
 // The golden corpus pins the simulator's output to committed bytes, so
@@ -100,12 +102,12 @@ func runCSV(res *RunResult) string {
 }
 
 // goldenCase is one pinned output: a file stem, the sdascn arguments
-// that reproduce it (empty for registry experiments), and a producer
-// that renders its CSV with pooling on or off.
+// that reproduce it (empty for registry experiments and plain runs), and
+// a producer that renders its CSV.
 type goldenCase struct {
 	name    string
 	command string
-	csv     func(ctx context.Context, sess *Session, nopool bool) (string, error)
+	csv     func(ctx context.Context, sess *Session) (string, error)
 }
 
 func goldenCases() []goldenCase {
@@ -114,9 +116,9 @@ func goldenCases() []goldenCase {
 		id := e.ID
 		cases = append(cases, goldenCase{
 			name: "exp-" + id,
-			csv: func(ctx context.Context, sess *Session, nopool bool) (string, error) {
+			csv: func(ctx context.Context, sess *Session) (string, error) {
 				res, err := sess.Experiment(ctx, id, ExperimentOptions{
-					Horizon: goldenExpHorizon, Reps: 1, Seed: 1, DisablePooling: nopool,
+					Horizon: goldenExpHorizon, Reps: 1, Seed: 1,
 				})
 				if err != nil {
 					return "", err
@@ -137,7 +139,7 @@ func goldenCases() []goldenCase {
 			name: name,
 			command: fmt.Sprintf("sdascn -preset %s -nodes %d -horizon %d -reps %d -seed 1 -quiet -out %s.csv",
 				preset, goldenPresetNodes, goldenPresetHorizon, goldenPresetReps, name),
-			csv: func(ctx context.Context, sess *Session, nopool bool) (string, error) {
+			csv: func(ctx context.Context, sess *Session) (string, error) {
 				// Mirrors sdascn: the baseline config, the preset scaled
 				// to the horizon, and the series writer -out uses.
 				cfg := BaselineConfig()
@@ -148,11 +150,7 @@ func goldenCases() []goldenCase {
 				if err != nil {
 					return "", err
 				}
-				var opts []RunOption
-				if nopool {
-					opts = append(opts, WithPoolingDisabled())
-				}
-				res, err := sess.RunScenario(ctx, cfg, sc, goldenPresetReps, opts...)
+				res, err := sess.RunScenario(ctx, cfg, sc, goldenPresetReps)
 				if err != nil {
 					return "", err
 				}
@@ -167,34 +165,19 @@ func goldenCases() []goldenCase {
 	for _, r := range goldenRuns {
 		cases = append(cases, goldenCase{
 			name: r.name,
-			csv: func(ctx context.Context, sess *Session, nopool bool) (string, error) {
-				// Every event queue must pop in the same order: the
-				// heap, the ladder and the promoting default all render
-				// the same CSV.
-				var want string
-				for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueLadder, EventQueueAuto} {
-					opts := []RunOption{WithEventQueue(kind)}
-					if nopool {
-						opts = append(opts, WithPoolingDisabled())
-					}
-					res, err := sess.Run(ctx, Job{Config: r.cfg(), Reps: r.reps}, opts...)
-					if err != nil {
-						return "", err
-					}
-					if kind == EventQueueAuto && r.promotes {
-						for i, m := range res.Runs {
-							if m.Engine.QueuePromotions == 0 {
-								return "", fmt.Errorf("replication %d never promoted its event queue", i)
-							}
+			csv: func(ctx context.Context, sess *Session) (string, error) {
+				res, err := sess.Run(ctx, Job{Config: r.cfg(), Reps: r.reps})
+				if err != nil {
+					return "", err
+				}
+				if r.promotes {
+					for i, m := range res.Runs {
+						if m.Engine.QueuePromotions == 0 {
+							return "", fmt.Errorf("replication %d never promoted its event queue", i)
 						}
 					}
-					got := runCSV(res)
-					if want != "" && got != want {
-						return "", fmt.Errorf("queue %q diverged:\n%s\nwant:\n%s", kind, got, want)
-					}
-					want = got
 				}
-				return want, nil
+				return runCSV(res), nil
 			},
 		})
 	}
@@ -228,18 +211,11 @@ func TestGolden(t *testing.T) {
 	defer sess.Close()
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			pooled, err := c.csv(ctx, sess, false)
+			csv, err := c.csv(ctx, sess)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := c.csv(ctx, sess, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pooled != ref {
-				t.Fatalf("CSV differs with pooling on vs off:\npooled:\n%s\nreference:\n%s", pooled, ref)
-			}
-			got := goldenFile(c, pooled)
+			got := goldenFile(c, csv)
 			path := filepath.Join(goldenDir, c.name+".sha256")
 			if *updateGolden {
 				if err := os.MkdirAll(goldenDir, 0o755); err != nil {
@@ -258,5 +234,49 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("output drifted from %s:\n--- want\n%s--- got\n%s", path, want, got)
 			}
 		})
+	}
+}
+
+// TestGoldenThroughResultCache runs one preset twice through a result
+// cache over a pool: the first run misses every seed and simulates,
+// the second is served entirely from cache hits. Both must render the
+// committed bytes.
+func TestGoldenThroughResultCache(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden CSVs are pinned on amd64: Go fuses multiply-add into FMA on %s", runtime.GOARCH)
+	}
+	var c goldenCase
+	for _, gc := range goldenCases() {
+		if gc.name == "preset-burst" {
+			c = gc
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(goldenDir, c.name+".sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := session.NewPool()
+	defer pool.Close()
+	cache := NewResultCache(pool, 0)
+	sess := NewSessionWithBackend(cache)
+	defer sess.Close()
+	for _, pass := range []struct {
+		name         string
+		hits, misses uint64
+	}{
+		{"cold", 0, goldenPresetReps},
+		{"warm", goldenPresetReps, goldenPresetReps},
+	} {
+		csv, err := c.csv(context.Background(), sess)
+		if err != nil {
+			t.Fatalf("%s: %v", pass.name, err)
+		}
+		if got := goldenFile(c, csv); got != string(want) {
+			t.Fatalf("%s run drifted from the golden:\n--- want\n%s--- got\n%s", pass.name, want, got)
+		}
+		if st := cache.CacheStats(); st.Hits != pass.hits || st.Misses != pass.misses {
+			t.Fatalf("%s run: cache hits %d misses %d, want %d and %d",
+				pass.name, st.Hits, st.Misses, pass.hits, pass.misses)
+		}
 	}
 }

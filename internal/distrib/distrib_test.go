@@ -15,7 +15,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/task"
 	"repro/internal/trace"
@@ -116,7 +115,7 @@ func metricsSig(m *system.Metrics) string {
 // TestProcBackendMatchesPool is the core determinism claim: a session
 // on the multi-process backend produces results bit-identical to the
 // in-process pool — per replication and in the merged scenario CSV — at
-// any worker count, either event queue, pooling on or off.
+// any worker count.
 func TestProcBackendMatchesPool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -139,20 +138,10 @@ func TestProcBackendMatchesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := []struct {
-		name    string
-		workers int
-		opt     []session.Option
-	}{
-		{name: "workers=1", workers: 1},
-		{name: "workers=3", workers: 3},
-		{name: "workers=3/ladder", workers: 3, opt: []session.Option{session.WithEventQueue(sim.QueueLadder)}},
-		{name: "workers=3/nopool", workers: 3, opt: []session.Option{session.WithPoolingDisabled()}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := testBackend(t, ProcOptions{Workers: tc.workers, ChunkSize: 2})
-			s := session.NewWithBackend(b, tc.opt...)
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			b := testBackend(t, ProcOptions{Workers: workers, ChunkSize: 2})
+			s := session.NewWithBackend(b)
 			defer s.Close()
 			got, err := s.Run(context.Background(), job)
 			if err != nil {

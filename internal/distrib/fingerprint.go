@@ -22,10 +22,9 @@ type fingerprintEnvelope struct {
 // semantically identical (including ones differing only in Seed or in
 // an attached progress hook: seeds are the cache key's other dimension)
 // hash identically; changing any knob yields a different fingerprint.
-// That includes knobs like EventQueue and DisablePooling whose
-// alternatives are provably (or by-test) byte-identical: the
-// cache trades a few redundant misses for zero risk of serving results
-// across a semantic boundary.
+// Every wire field changes results: the run has no knob whose settings
+// are byte-identical (the event queue and task recycling are fixed by
+// the simulator, not configured), so one result has one key.
 //
 // The hash is computed over the gob encoding of the wire configuration
 // (scenarios travel as their declarative Spec — slices and scalars

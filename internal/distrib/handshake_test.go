@@ -41,9 +41,11 @@ func TestHelloMismatch(t *testing.T) {
 	cases := map[string][]byte{
 		"wrong magic":   capture(helloMsg{Magic: 0xDEADBEEF, Version: ProtocolVersion}),
 		"wrong version": capture(helloMsg{Magic: ProtocolMagic, Version: ProtocolVersion + 1}),
-		// Version 1 peers still carry the split RNG layout field, which this
-		// binary would silently drop.
+		// Version 1 peers still carry the split RNG layout field and
+		// version 2 peers the event-queue and pooling-off fields, which
+		// this binary would silently drop.
 		"version 1":    capture(helloMsg{Magic: ProtocolMagic, Version: 1}),
+		"version 2":    capture(helloMsg{Magic: ProtocolMagic, Version: 2}),
 		"not a hello":  otherKind,
 		"empty stream": nil,
 		"garbage":      []byte("GET / HTTP/1.1\r\n\r\n"),

@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
@@ -83,10 +82,11 @@ const (
 // decode error deep inside a shard. Removed payload fields count as
 // incompatible too: gob silently drops fields the receiver lacks, so a
 // peer still sending one would otherwise run a different configuration
-// unannounced. Version 2 removed the split RNG layout's wire field.
+// unannounced. Version 2 removed the split RNG layout's wire field;
+// version 3 removed the event-queue and pooling-off fields.
 const (
 	ProtocolMagic   uint32 = 0x53444131 // "SDA1"
-	ProtocolVersion uint32 = 2
+	ProtocolVersion uint32 = 3
 )
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,
@@ -411,8 +411,6 @@ type WireConfig struct {
 	LocalRateMultipliers []float64
 	Horizon, Warmup      float64
 	Scenario             *scenario.Spec
-	DisablePooling       bool
-	EventQueue           string
 }
 
 // shapeDemand extracts the demand of a known shape.
@@ -478,8 +476,6 @@ func ToWire(cfg system.Config) (WireConfig, error) {
 		LocalRateMultipliers: cfg.LocalRateMultipliers,
 		Horizon:              cfg.Horizon,
 		Warmup:               cfg.Warmup,
-		DisablePooling:       cfg.DisablePooling,
-		EventQueue:           string(cfg.EventQueue),
 	}
 	if cfg.Scenario != nil {
 		sp := cfg.Scenario.Spec()
@@ -512,8 +508,6 @@ func (wc WireConfig) Config() (system.Config, error) {
 		LocalRateMultipliers: wc.LocalRateMultipliers,
 		Horizon:              wc.Horizon,
 		Warmup:               wc.Warmup,
-		DisablePooling:       wc.DisablePooling,
-		EventQueue:           sim.QueueKind(wc.EventQueue),
 	}
 	if wc.Scenario != nil {
 		sc, err := scenario.New(*wc.Scenario)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/session"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/system"
 )
@@ -45,10 +44,6 @@ type Options struct {
 	// concurrently from worker goroutines and must be safe for that;
 	// ProgressPrinter returns a suitable implementation.
 	Progress func(done, total int)
-	// DisablePooling forwards system.Config.DisablePooling to every
-	// replication: the pure allocation path, for pool-safety testing and
-	// diagnostics. Results are bit-identical either way.
-	DisablePooling bool
 	// Nodes, when positive, overrides Config.Nodes for every replication
 	// (the -nodes flag): the scaling knob for large-topology runs. It is
 	// applied before each experiment's own configuration, so experiments
@@ -57,10 +52,6 @@ type Options struct {
 	// pinned to specific node ids, hand-written multiplier vectors) fail
 	// Config.Validate with a descriptive error.
 	Nodes int
-	// EventQueue forwards system.Config.EventQueue to every replication:
-	// "" or "auto" (heap, ladder-promoted at scale), "heap", "ladder".
-	// Results are byte-identical across kinds.
-	EventQueue sim.QueueKind
 	// Context, when non-nil, bounds the run: once it is cancelled no new
 	// sweep cell or replication starts and the experiment returns the
 	// context's error. Experiments report whole figures only — a
@@ -98,8 +89,6 @@ func (o Options) session() (*session.Session, func()) {
 func (o Options) applyTo(cfg *system.Config, rep int) {
 	cfg.Horizon = o.Horizon
 	cfg.Seed = o.Seed + uint64(rep)
-	cfg.DisablePooling = o.DisablePooling
-	cfg.EventQueue = o.EventQueue
 	if o.Nodes > 0 {
 		cfg.Nodes = o.Nodes
 	}

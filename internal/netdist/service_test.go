@@ -162,7 +162,9 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown preset", `{"preset":"nope","horizon":100}`, "", http.StatusBadRequest},
 		{"preset and spec", `{"preset":"burst","spec":{"name":"x"},"horizon":100}`, "", http.StatusBadRequest},
 		{"negative reps", `{"preset":"burst","horizon":100,"reps":-1}`, "", http.StatusBadRequest},
-		{"bad queue", `{"preset":"burst","horizon":100,"queue":"treap"}`, "", http.StatusBadRequest},
+		// queue is no longer a spec field, so even a once-valid value is
+		// an unknown field.
+		{"bad queue", `{"preset":"burst","horizon":100,"queue":"heap"}`, "", http.StatusBadRequest},
 		{"bad format", `{"preset":"burst","horizon":100}`, "wat", http.StatusBadRequest},
 		{"csv without scenario", `{"horizon":100,"reps":1}`, "csv", http.StatusBadRequest},
 	}

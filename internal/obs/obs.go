@@ -30,8 +30,9 @@ type EngineStats struct {
 	EventsScheduled uint64
 	EventsFired     uint64
 	EventsCancelled uint64
-	// QueuePromotions counts heap→ladder promotions (0 or 1 per
-	// replication under QueueAuto, always 0 with a pinned queue).
+	// QueuePromotions counts heap→ladder event-queue promotions: 0 or 1
+	// per replication, 1 once the pending-event set outgrows the heap
+	// (large topologies).
 	QueuePromotions uint64
 	// PendingHWM is the pending-event high-water mark (engine queue
 	// depth); ReadyHWM is the deepest any node's ready queue got.

@@ -93,18 +93,15 @@ type Manager struct {
 	pendID    []uint64
 	pendFree  []int32
 
-	// pool optionally recycles retired subtasks; nil allocates fresh
-	// ones (the reference path pooling must reproduce bit-for-bit).
+	// pool recycles retired subtasks.
 	pool *task.Pool
-	// instFree recycles Instance shells once fully drained; only used
-	// when pool is set, so DisablePooling yields the pure allocation
-	// path end to end.
+	// instFree recycles Instance shells once fully drained.
 	instFree []*Instance
-	// frameFree recycles activation frames, same gating as instFree.
+	// frameFree recycles activation frames.
 	frameFree []*frame
 	// instSlab and frameSlab are bump-allocation chunks fresh shells are
-	// carved from when the free lists run dry (pooled runs only):
-	// O(peak/mgrSlab) allocations instead of one per shell.
+	// carved from when the free lists run dry: O(peak/mgrSlab)
+	// allocations instead of one per shell.
 	instSlab  []Instance
 	frameSlab []frame
 	// graphPool receives retired instance graphs; nil drops them to the
@@ -144,11 +141,11 @@ type Config struct {
 	// subtasks and local tasks draw from one deterministic sequence.
 	NextSeq    func() uint64
 	NextTaskID func() uint64
-	// Pool optionally recycles subtasks (and Instance shells) within a
-	// replication. Nil disables reuse; results are identical either way.
+	// Pool recycles subtasks within a replication (required; the
+	// workload generator draws local tasks from the same pool).
 	Pool *task.Pool
 	// GraphPool optionally receives retired instance graphs for reuse by
-	// the workload generator. Only consulted when Pool is set.
+	// the workload generator; nil drops them to the garbage collector.
 	GraphPool *task.GraphPool
 }
 
@@ -164,6 +161,9 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.NextSeq == nil || cfg.NextTaskID == nil {
 		return fmt.Errorf("procmgr: nil allocators")
+	}
+	if cfg.Pool == nil {
+		return fmt.Errorf("procmgr: nil task pool")
 	}
 	return nil
 }
@@ -206,7 +206,7 @@ func (m *Manager) Reconfigure(cfg Config) error {
 }
 
 // NewInstance returns a zeroed Instance, recycled from the manager's free
-// list when pooling is enabled. The caller fills it and hands it to
+// list when one is parked there. The caller fills it and hands it to
 // Start; after OnDone the manager reclaims it once the last of its
 // subtasks has drained, so callers must not retain instances beyond the
 // OnDone callback.
@@ -217,24 +217,21 @@ func (m *Manager) NewInstance() *Instance {
 		m.instFree = m.instFree[:n-1]
 		return inst
 	}
-	if m.pool != nil {
-		if len(m.instSlab) == 0 {
-			m.instSlab = make([]Instance, mgrSlab)
-		}
-		inst := &m.instSlab[0]
-		m.instSlab = m.instSlab[1:]
-		return inst
+	if len(m.instSlab) == 0 {
+		m.instSlab = make([]Instance, mgrSlab)
 	}
-	return &Instance{}
+	inst := &m.instSlab[0]
+	m.instSlab = m.instSlab[1:]
+	return inst
 }
 
 // mgrSlab is the number of Instance or frame shells carved per slab
-// allocation on pooled runs.
+// allocation.
 const mgrSlab = 256
 
 // maybeRecycle parks a fully drained, finished instance on the free list.
 func (m *Manager) maybeRecycle(inst *Instance) {
-	if m.pool == nil || !inst.finished || inst.leafRefs != 0 {
+	if !inst.finished || inst.leafRefs != 0 {
 		return
 	}
 	// The instance is fully drained: no node, frame, or pending entry
@@ -244,22 +241,20 @@ func (m *Manager) maybeRecycle(inst *Instance) {
 	m.instFree = append(m.instFree, inst)
 }
 
-// newFrame returns an initialized activation frame, recycled when
-// pooling is enabled.
+// newFrame returns an initialized activation frame, recycled from the
+// free list when one is parked there.
 func (m *Manager) newFrame(inst *Instance, g *task.Graph, parent *frame, dl float64) *frame {
 	var f *frame
 	if n := len(m.frameFree); n > 0 {
 		f = m.frameFree[n-1]
 		m.frameFree[n-1] = nil
 		m.frameFree = m.frameFree[:n-1]
-	} else if m.pool != nil {
+	} else {
 		if len(m.frameSlab) == 0 {
 			m.frameSlab = make([]frame, mgrSlab)
 		}
 		f = &m.frameSlab[0]
 		m.frameSlab = m.frameSlab[1:]
-	} else {
-		f = &frame{}
 	}
 	*f = frame{inst: inst, g: g, parent: parent, dl: dl}
 	return f
@@ -269,9 +264,6 @@ func (m *Manager) newFrame(inst *Instance, g *task.Graph, parent *frame, dl floa
 // are simply dropped (their completions are swallowed, so release is
 // never reached) and reclaimed by the garbage collector.
 func (m *Manager) releaseFrame(f *frame) {
-	if m.pool == nil {
-		return
-	}
 	*f = frame{}
 	m.frameFree = append(m.frameFree, f)
 }

@@ -12,13 +12,15 @@ import (
 )
 
 // harness wires an engine, a k-node group and a manager the way the
-// system package does, recording all completions.
+// system package does, recording all completions. The manager recycles
+// subtasks and drained instances, so the harness records copies taken
+// inside the callbacks.
 type harness struct {
 	eng       *sim.Engine
 	group     *node.Group
 	mgr       *Manager
-	done      []*Instance
-	completed []*task.Task
+	done      []Instance
+	completed []task.Task
 	seq       uint64
 	id        uint64
 }
@@ -43,7 +45,7 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 	t.Helper()
 	h := &harness{eng: sim.New()}
 	route := func(tk *task.Task) {
-		h.completed = append(h.completed, tk)
+		h.completed = append(h.completed, *tk)
 		if tk.Class == task.Global {
 			if err := h.mgr.Complete(tk); err != nil {
 				t.Fatalf("Complete: %v", err)
@@ -62,7 +64,8 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 		Engine:   h.eng,
 		Group:    h.group,
 		Assigner: assigner,
-		OnDone:   func(in *Instance) { h.done = append(h.done, in) },
+		OnDone:   func(in *Instance) { h.done = append(h.done, *in) },
+		Pool:     &task.Pool{},
 		NextSeq:  func() uint64 { h.seq++; return h.seq },
 		NextTaskID: func() uint64 {
 			h.id++
@@ -77,15 +80,22 @@ func newHarness(t *testing.T, k int, assigner core.Assigner, policy node.TardyPo
 }
 
 // startInstance validates/flattens the graph and starts it at time 0.
-func (h *harness) startInstance(t *testing.T, g *task.Graph, deadline float64) *Instance {
+func (h *harness) startInstance(t *testing.T, g *task.Graph, deadline float64) {
 	t.Helper()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	g.Flatten()
-	inst := &Instance{ID: 1, Graph: g, Arrival: h.eng.Now(), Deadline: deadline}
-	h.mgr.Start(inst)
-	return inst
+	h.mgr.Start(&Instance{ID: 1, Graph: g, Arrival: h.eng.Now(), Deadline: deadline})
+}
+
+// finished returns the record of the single instance OnDone reported.
+func (h *harness) finished(t *testing.T) *Instance {
+	t.Helper()
+	if len(h.done) != 1 {
+		t.Fatalf("OnDone fired %d times, want exactly 1", len(h.done))
+	}
+	return &h.done[0]
 }
 
 func place(g *task.Graph, nodes ...int) *task.Graph {
@@ -100,14 +110,16 @@ func TestConfigValidation(t *testing.T) {
 	eng := sim.New()
 	okNode := newGroup(t, eng, 1, node.GroupConfig{OnDone: func(*task.Task) {}})
 	seq := func() uint64 { return 0 }
+	pool := &task.Pool{}
 	tests := []struct {
 		name string
 		cfg  Config
 	}{
-		{name: "nil engine", cfg: Config{Group: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
-		{name: "no nodes", cfg: Config{Engine: eng, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil OnDone", cfg: Config{Engine: eng, Group: okNode, NextSeq: seq, NextTaskID: seq}},
-		{name: "nil allocators", cfg: Config{Engine: eng, Group: okNode, OnDone: func(*Instance) {}}},
+		{name: "nil engine", cfg: Config{Group: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq, Pool: pool}},
+		{name: "no nodes", cfg: Config{Engine: eng, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq, Pool: pool}},
+		{name: "nil OnDone", cfg: Config{Engine: eng, Group: okNode, NextSeq: seq, NextTaskID: seq, Pool: pool}},
+		{name: "nil allocators", cfg: Config{Engine: eng, Group: okNode, OnDone: func(*Instance) {}, Pool: pool}},
+		{name: "nil pool", cfg: Config{Engine: eng, Group: okNode, OnDone: func(*Instance) {}, NextSeq: seq, NextTaskID: seq}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -121,8 +133,9 @@ func TestConfigValidation(t *testing.T) {
 func TestSerialChainPrecedence(t *testing.T) {
 	h := newHarness(t, 3, core.NewAssigner(core.EqualFlexibility{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 b:2 c:3]"), 0, 1, 2)
-	inst := h.startInstance(t, g, 20)
+	h.startInstance(t, g, 20)
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if len(h.done) != 1 {
 		t.Fatalf("instances done = %d, want 1", len(h.done))
@@ -179,8 +192,9 @@ func TestDynamicEQFDeadlines(t *testing.T) {
 func TestParallelJoin(t *testing.T) {
 	h := newHarness(t, 3, core.NewAssigner(core.UltimateDeadline{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 || b:5 || c:2]"), 0, 1, 2)
-	inst := h.startInstance(t, g, 20)
+	h.startInstance(t, g, 20)
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if inst.Finish != 5 {
 		t.Errorf("Finish = %v, want 5 (longest branch)", inst.Finish)
@@ -200,8 +214,9 @@ func TestParallelJoin(t *testing.T) {
 func TestNestedGraphCompletion(t *testing.T) {
 	h := newHarness(t, 4, core.NewAssigner(core.EqualFlexibility{}, core.Div{X: 1}), node.NoAbort)
 	g := place(task.MustParse("[a:1 [b:2 || c:4] d:1]"), 0, 1, 2, 3)
-	inst := h.startInstance(t, g, 10)
+	h.startInstance(t, g, 10)
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if len(h.done) != 1 {
 		t.Fatalf("done = %d, want 1", len(h.done))
@@ -223,8 +238,9 @@ func TestStageMissCounting(t *testing.T) {
 	blocker := &task.Task{ID: 999, Class: task.Local, Exec: 4, Deadline: 100, Seq: 0}
 	h.group.Submit(0, blocker)
 	g := place(task.MustParse("[a:1 b:1]"), 0)
-	inst := h.startInstance(t, g, 2) // dl = ar + ex: zero slack
+	h.startInstance(t, g, 2) // dl = ar + ex: zero slack
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if !inst.Missed() {
 		t.Fatal("instance with zero slack behind a blocker should miss")
@@ -243,8 +259,9 @@ func TestAbortKillsInstanceOnce(t *testing.T) {
 	h.group.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	h.group.Submit(1, &task.Task{ID: 901, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 || b:1]"), 0, 1)
-	inst := h.startInstance(t, g, 5) // both branches doomed
+	h.startInstance(t, g, 5) // both branches doomed
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if !inst.Aborted || !inst.Missed() {
 		t.Fatal("instance should be aborted and missed")
@@ -261,8 +278,9 @@ func TestAbortedSerialDoesNotContinue(t *testing.T) {
 	h := newHarness(t, 2, core.NewAssigner(core.EffectiveDeadline{}, core.ParallelUltimate{}), node.AbortAtDispatch)
 	h.group.Submit(0, &task.Task{ID: 900, Class: task.Local, Exec: 50, Deadline: 1000, Seq: 0})
 	g := place(task.MustParse("[a:1 b:1]"), 0, 1)
-	inst := h.startInstance(t, g, 3) // stage a expires behind the blocker
+	h.startInstance(t, g, 3) // stage a expires behind the blocker
 	h.eng.RunAll()
+	inst := h.finished(t)
 
 	if !inst.Aborted {
 		t.Fatal("instance should be aborted")

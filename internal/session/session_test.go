@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,30 +207,31 @@ func TestStreamCancelDeliversPrefix(t *testing.T) {
 }
 
 // TestRunOptionOverrides: per-call options override session defaults,
-// and the queue/pooling knobs never change results.
+// and the parallelism override never changes results.
 func TestRunOptionOverrides(t *testing.T) {
 	cfg := shortCfg(2000)
-	s := New(WithParallelism(1))
+	var sessionCalls, callCalls atomic.Int64
+	s := New(WithParallelism(1), WithProgress(func(int, int) { sessionCalls.Add(1) }))
 	defer s.Close()
 	base, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2},
-		WithEventQueue("ladder"), WithParallelism(2))
+	if sessionCalls.Load() != 2 {
+		t.Fatalf("session-default progress saw %d replications, want 2", sessionCalls.Load())
+	}
+	par, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2},
+		WithParallelism(2), WithProgress(func(int, int) { callCalls.Add(1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPool, err := s.Run(context.Background(), Job{Config: cfg, Reps: 2}, WithPoolingDisabled())
-	if err != nil {
-		t.Fatal(err)
+	if sessionCalls.Load() != 2 || callCalls.Load() != 2 {
+		t.Fatalf("per-call progress not overriding: session %d, call %d, want 2 and 2",
+			sessionCalls.Load(), callCalls.Load())
 	}
 	for i := range base.Runs {
-		if metricsSig(base.Runs[i]) != metricsSig(ladder.Runs[i]) {
-			t.Fatalf("rep %d: ladder queue changed the result", i)
-		}
-		if metricsSig(base.Runs[i]) != metricsSig(noPool.Runs[i]) {
-			t.Fatalf("rep %d: pooling changed the result", i)
+		if metricsSig(base.Runs[i]) != metricsSig(par.Runs[i]) {
+			t.Fatalf("rep %d: parallelism changed the result", i)
 		}
 	}
 }

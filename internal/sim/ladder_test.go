@@ -21,8 +21,22 @@ type crossEngine struct {
 	handles []Event
 }
 
-func newCrossEngine(kind QueueKind) *crossEngine {
-	c := &crossEngine{eng: NewWithQueue(kind)}
+// newQueueEngine returns an engine pinned to one event queue through
+// its promotion threshold: "heap" never promotes, "ladder" promotes on
+// the first schedule, and "auto" keeps the production threshold.
+func newQueueEngine(queue string) *Engine {
+	e := New()
+	switch queue {
+	case "heap":
+		e.promoteAt = math.MaxInt
+	case "ladder":
+		e.promoteAt = 0
+	}
+	return e
+}
+
+func newCrossEngine(queue string) *crossEngine {
+	c := &crossEngine{eng: newQueueEngine(queue)}
 	c.registerCB()
 	return c
 }
@@ -40,12 +54,11 @@ func (c *crossEngine) registerCB() {
 // as a fuzz corpus format.
 func crossCheck(t *testing.T, ops []byte) {
 	t.Helper()
-	engines := []*crossEngine{
-		newCrossEngine(QueueHeap),
-		newCrossEngine(QueueLadder),
-		newCrossEngine(QueueAuto),
-	}
 	names := []string{"heap", "ladder", "auto"}
+	engines := make([]*crossEngine, len(names))
+	for i, name := range names {
+		engines[i] = newCrossEngine(name)
+	}
 	tag := 0
 	next := func(i int) byte {
 		if i >= len(ops) {
@@ -199,8 +212,8 @@ func FuzzQueueCrossCheck(f *testing.F) {
 func TestLadderBulkOrder(t *testing.T) {
 	const n = 20000
 	r := rand.New(rand.NewSource(7))
-	heap := newCrossEngine(QueueHeap)
-	lad := newCrossEngine(QueueLadder)
+	heap := newCrossEngine("heap")
+	lad := newCrossEngine("ladder")
 	for i := 0; i < n; i++ {
 		var d float64
 		switch i % 3 {
@@ -227,7 +240,7 @@ func TestLadderBulkOrder(t *testing.T) {
 // that sliver (e.g. exactly the previous maximum time) must not panic
 // and must still fire in time order.
 func TestLadderBoundaryWindowPush(t *testing.T) {
-	c := newCrossEngine(QueueLadder)
+	c := newCrossEngine("ladder")
 	const n = 4096
 	for i := 0; i < n; i++ {
 		c.eng.MustScheduleCall(float64(i), c.cb, i)
@@ -281,7 +294,7 @@ func TestLadderOverMaxBoundaryCrossCheck(t *testing.T) {
 	// Probe the rebuilt rung's real geometry and find the trigger: the
 	// first event routed at or above the top bucket's lower edge. When it
 	// fires, the top bucket has just been transferred into the near tier.
-	probe := NewWithQueue(QueueLadder)
+	probe := newQueueEngine("ladder")
 	pcb := probe.Register(func(any) {})
 	for i := 0; i < n; i++ {
 		probe.MustScheduleCall(off+float64(i)*step, pcb, i)
@@ -307,8 +320,8 @@ func TestLadderOverMaxBoundaryCrossCheck(t *testing.T) {
 	}
 
 	below := math.Nextafter(max, math.Inf(-1))
-	run := func(kind QueueKind) []fireRec {
-		eng := NewWithQueue(kind)
+	run := func(queue string) []fireRec {
+		eng := newQueueEngine(queue)
 		var fired []fireRec
 		done := false
 		var cb Callback
@@ -328,26 +341,26 @@ func TestLadderOverMaxBoundaryCrossCheck(t *testing.T) {
 		eng.RunAll()
 		return fired
 	}
-	heap, ladder := run(QueueHeap), run(QueueLadder)
+	heap, ladder := run("heap"), run("ladder")
 	compareFired(t, "ladder", ladder, heap)
 	if len(heap) != n+3 {
 		t.Fatalf("fired %d events, want %d", len(heap), n+3)
 	}
 }
 
-// TestLadderPromotion checks that an auto engine actually promotes past
-// the threshold and that promotion preserves already-scheduled events.
+// TestLadderPromotion checks that an engine actually promotes past the
+// threshold and that promotion preserves already-scheduled events.
 func TestLadderPromotion(t *testing.T) {
-	c := newCrossEngine(QueueAuto)
-	if got := c.eng.QueueKind(); got != QueueHeap {
-		t.Fatalf("fresh auto engine on %q, want heap", got)
-	}
-	for i := 0; i <= promoteThreshold; i++ {
+	c := newCrossEngine("auto")
+	for i := 0; i < promoteThreshold; i++ {
 		c.eng.MustScheduleCall(float64(i), c.cb, i)
 	}
-	if got := c.eng.QueueKind(); got != QueueLadder {
-		t.Fatalf("auto engine on %q after %d pending events, want ladder",
-			got, promoteThreshold+1)
+	if c.eng.lad != nil {
+		t.Fatalf("engine on the ladder at %d pending events, want heap", promoteThreshold)
+	}
+	c.eng.MustScheduleCall(promoteThreshold, c.cb, promoteThreshold)
+	if c.eng.lad == nil {
+		t.Fatalf("engine on the heap after %d pending events, want ladder", promoteThreshold+1)
 	}
 	c.eng.RunAll()
 	if len(c.fired) != promoteThreshold+1 {
@@ -362,8 +375,8 @@ func TestLadderPromotion(t *testing.T) {
 	// (and the Stats promotion counter) is history-independent, but the
 	// ladder stays cached: the next promotion reuses its arrays.
 	c.eng.Reset()
-	if got := c.eng.QueueKind(); got != QueueHeap {
-		t.Fatalf("auto engine on %q after Reset, want heap", got)
+	if c.eng.lad != nil {
+		t.Fatal("engine still on the ladder after Reset, want heap")
 	}
 	prevLad := c.eng.ladCache
 	if prevLad == nil {
@@ -373,8 +386,8 @@ func TestLadderPromotion(t *testing.T) {
 	for i := 0; i <= promoteThreshold; i++ {
 		c.eng.MustScheduleCall(float64(i), cb, i)
 	}
-	if got := c.eng.QueueKind(); got != QueueLadder {
-		t.Fatalf("auto engine on %q after re-crossing the threshold, want ladder", got)
+	if c.eng.lad == nil {
+		t.Fatal("engine on the heap after re-crossing the threshold, want ladder")
 	}
 	if c.eng.lad != prevLad {
 		t.Fatal("re-promotion built a fresh ladder instead of reusing the cache")
@@ -385,7 +398,7 @@ func TestLadderPromotion(t *testing.T) {
 // ladder path: once buckets, rungs, and the loc table have grown to
 // working size, scheduling, firing, and cancelling allocate nothing.
 func TestLadderSteadyStateZeroAlloc(t *testing.T) {
-	e := NewWithQueue(QueueLadder)
+	e := newQueueEngine("ladder")
 	cb := e.Register(func(any) {})
 	r := rand.New(rand.NewSource(3))
 	warm := func(rounds int) {

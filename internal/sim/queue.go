@@ -1,47 +1,12 @@
 package sim
 
-import "fmt"
-
-// QueueKind selects the engine's pending-event structure. All kinds pop
-// events in exactly the same (time, seq) order, so simulation results are
-// byte-identical across kinds; only the constant factors differ.
-type QueueKind string
-
-const (
-	// QueueAuto starts on the binary heap and promotes the engine to the
-	// ladder queue once the pending-event count crosses promoteThreshold
-	// (large topologies). Paper-scale runs never promote, so they keep
-	// the heap's minimal constant factors. This is the default.
-	QueueAuto QueueKind = ""
-	// QueueHeap pins the reference binary heap: O(log n) per operation,
-	// the implementation every other queue is cross-checked against.
-	QueueHeap QueueKind = "heap"
-	// QueueLadder pins the two-level ladder queue: a small sorted
-	// near-future tier feeding execution plus bucketed far-future rungs
-	// that spread lazily, giving O(1) amortized schedule/pop at large
-	// pending-event counts.
-	QueueLadder QueueKind = "ladder"
-)
-
-// promoteThreshold is the pending-event count at which QueueAuto switches
-// from the heap to the ladder. Paper-scale systems (k=6: tens of pending
-// events) stay far below it; a k>=512 topology crosses it during setup.
+// promoteThreshold is the pending-event count past which an engine
+// switches from the binary heap to the ladder queue. Both pop events in
+// exactly the same (time, seq) order, so the switch never changes a
+// result, only the constant factors. Paper-scale systems (k=6: tens of
+// pending events) stay far below it and keep the heap's minimal
+// constant factors; a k>=512 topology crosses it during setup.
 const promoteThreshold = 512
-
-// ParseQueueKind validates a queue-kind string ("", "auto", "heap",
-// "ladder"), for CLI flags and configuration.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "", "auto":
-		return QueueAuto, nil
-	case string(QueueHeap):
-		return QueueHeap, nil
-	case string(QueueLadder):
-		return QueueLadder, nil
-	default:
-		return "", fmt.Errorf("sim: unknown event queue %q (want auto, heap, or ladder)", s)
-	}
-}
 
 // This file is the reference implementation of the event-queue seam: a
 // binary min-heap ordered by (time, seq), implemented directly

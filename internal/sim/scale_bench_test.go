@@ -16,10 +16,10 @@ import (
 // buys.
 func BenchmarkEventCoreScaling(b *testing.B) {
 	for _, pending := range []int{1 << 10, 1 << 15, 1 << 20} {
-		for _, kind := range []QueueKind{QueueHeap, QueueLadder} {
-			b.Run(fmt.Sprintf("pending=%d/queue=%s", pending, kind), func(b *testing.B) {
+		for _, queue := range []string{"heap", "ladder"} {
+			b.Run(fmt.Sprintf("pending=%d/queue=%s", pending, queue), func(b *testing.B) {
 				b.ReportAllocs()
-				e := NewWithQueue(kind)
+				e := newQueueEngine(queue)
 				r := rand.New(rand.NewSource(1))
 				var cb Callback
 				cb = e.Register(func(any) {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,20 +85,6 @@ type Config struct {
 	// bit-for-bit. A Scenario is read-only and safe to share across
 	// parallel replications.
 	Scenario *scenario.Scenario
-	// DisablePooling turns off every object-reuse fast path of the run:
-	// tasks and global-task instances are freshly allocated instead of
-	// recycled, and a caller-provided Workspace is ignored. Results are
-	// bit-identical either way — this is the reference path the pooled
-	// one is tested against, and a diagnostic switch should a
-	// use-after-release ever be suspected.
-	DisablePooling bool
-	// EventQueue selects the engine's pending-event structure:
-	// sim.QueueAuto (the zero value; binary heap, promoted to the ladder
-	// queue at large pending-event counts), sim.QueueHeap (pin the
-	// reference binary heap), or sim.QueueLadder (pin the ladder queue).
-	// Every choice pops events in the same (time, seq) order, so results
-	// are byte-identical; only speed differs with topology size.
-	EventQueue sim.QueueKind
 	// Seed seeds every random stream of the run.
 	Seed uint64
 	// Trace optionally records per-task lifecycle events (submit,
@@ -204,9 +189,6 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if err := c.Scheduler.Validate(); err != nil {
-		return err
-	}
-	if _, err := sim.ParseQueueKind(string(c.EventQueue)); err != nil {
 		return err
 	}
 	if c.Scenario != nil {

@@ -30,12 +30,10 @@ import (
 // allocations. A Workspace is single-threaded — one per worker — and
 // results are bit-identical with or without one.
 //
-// Every run goes through a workspace: Run and DisablePooling simply use
-// a fresh one (with the task/graph pools disabled for DisablePooling),
-// so there is exactly one code path to keep deterministic.
+// Every run goes through a workspace: Run simply uses a fresh one, so
+// there is exactly one code path to keep deterministic.
 type Workspace struct {
 	eng      *sim.Engine
-	engKind  sim.QueueKind // kind eng was created with
 	pool     *task.Pool
 	graphs   *task.GraphPool
 	group    *node.Group
@@ -191,9 +189,7 @@ func Run(cfg Config) (*Metrics, error) {
 }
 
 // RunWith is Run reusing the given workspace's buffers and pools (nil
-// runs on a fresh single-use workspace). cfg.DisablePooling ignores the
-// caller's workspace and disables task/graph recycling, which is the
-// reference allocation path the pooled one is tested against.
+// runs on a fresh single-use workspace).
 func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -210,25 +206,18 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	queueKind, err := sim.ParseQueueKind(string(cfg.EventQueue))
-	if err != nil {
-		return nil, err
-	}
 
-	if ws == nil || cfg.DisablePooling {
+	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if ws.eng == nil || ws.engKind != queueKind {
-		ws.eng = sim.NewWithQueue(queueKind)
-		ws.engKind = queueKind
+	if ws.eng == nil {
+		ws.eng = sim.New()
+		ws.pool = &task.Pool{}
+		ws.graphs = &task.GraphPool{}
 	} else {
 		ws.eng.Reset()
 	}
 	eng := ws.eng
-	if ws.pool == nil && !cfg.DisablePooling {
-		ws.pool = &task.Pool{}
-		ws.graphs = &task.GraphPool{}
-	}
 	pool, graphs := ws.pool, ws.graphs
 
 	metrics := &Metrics{}

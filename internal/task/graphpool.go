@@ -8,10 +8,9 @@ package task
 // pops nodes back in an order that reuses each node in the same role
 // (group nodes keep their grown children capacity).
 //
-// Like task.Pool, a GraphPool is single-threaded per replication, and a
-// nil *GraphPool is valid: every method falls back to plain allocation,
-// which is the reference behaviour the pooled path reproduces
-// bit-for-bit.
+// Like task.Pool, a GraphPool is single-threaded per replication. A nil
+// *GraphPool is valid: every method falls back to plain allocation, which
+// is how Shape.Build produces graphs outside a simulation run.
 type GraphPool struct {
 	free []*Graph
 	slab []Graph  // bump-allocation chunk take carves fresh nodes from
@@ -69,7 +68,7 @@ func (p *GraphPool) Group(kind Kind) *Graph {
 // node's retained array is too small. Builders call it before their
 // append loop so a fresh group node costs at most one arena carve
 // instead of an append-doubling ladder per node. A nil pool is a no-op:
-// the unpooled path keeps its plain append behaviour.
+// plain Build keeps its plain append behaviour.
 func (p *GraphPool) EnsureKids(g *Graph, n int) {
 	if p == nil || cap(g.Children) >= n {
 		return

@@ -8,11 +8,7 @@ package task
 //
 // A Pool is not safe for concurrent use — like the engine it feeds, it is
 // single-threaded per replication; parallel replications each own a pool.
-//
-// A nil *Pool is valid and disables reuse: Get allocates a fresh Task and
-// Put discards, which is the reference behaviour the pooled path must
-// reproduce bit-for-bit (see Config.DisablePooling in internal/system and
-// the pool-safety determinism tests).
+// The zero value is an empty pool ready for use.
 type Pool struct {
 	free []*Task
 	slab []Task // bump-allocation chunk Get carves fresh tasks from
@@ -28,9 +24,6 @@ const poolSlab = 512
 // carved from the pool's current slab. Callers must set every field they
 // rely on; Put has already cleared the rest.
 func (p *Pool) Get() *Task {
-	if p == nil {
-		return &Task{}
-	}
 	if n := len(p.free) - 1; n >= 0 {
 		t := p.free[n]
 		p.free[n] = nil
@@ -50,7 +43,7 @@ func (p *Pool) Get() *Task {
 // immediately, so use-after-release bugs surface as zeroed fields rather
 // than silently stale data.
 func (p *Pool) Put(t *Task) {
-	if p == nil || t == nil {
+	if t == nil {
 		return
 	}
 	t.Reset()
@@ -59,9 +52,6 @@ func (p *Pool) Put(t *Task) {
 
 // Size returns the number of tasks currently parked in the free list.
 func (p *Pool) Size() int {
-	if p == nil {
-		return 0
-	}
 	return len(p.free)
 }
 

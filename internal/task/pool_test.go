@@ -22,18 +22,6 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestNilPoolIsValid(t *testing.T) {
-	var p *Pool
-	a := p.Get()
-	if a == nil || *a != (Task{}) {
-		t.Fatalf("nil pool Get = %+v, want fresh zero task", a)
-	}
-	p.Put(a) // must not panic
-	if p.Size() != 0 {
-		t.Fatalf("nil pool Size = %d, want 0", p.Size())
-	}
-}
-
 func TestPoolGetAllocatesWhenEmpty(t *testing.T) {
 	p := &Pool{}
 	a, b := p.Get(), p.Get()

@@ -83,9 +83,8 @@ type FleetParams struct {
 	// Mod optionally modulates the arrival rate over time (scenario
 	// bursts and ramps); nil keeps the streams stationary.
 	Mod RateModulator
-	// Pool optionally recycles retired tasks instead of allocating a
-	// fresh Task per arrival. Nil allocates; results are identical
-	// either way.
+	// Pool recycles retired tasks instead of allocating a fresh Task
+	// per arrival (required).
 	Pool *task.Pool
 }
 
@@ -101,7 +100,7 @@ func (f *LocalFleet) Configure(n int, params FleetParams,
 	if n <= 0 {
 		return fmt.Errorf("workload: fleet: %d nodes, want > 0", n)
 	}
-	if submit == nil || nextID == nil || nextSeq == nil {
+	if submit == nil || nextID == nil || nextSeq == nil || params.Pool == nil {
 		return fmt.Errorf("workload: fleet: nil dependency")
 	}
 	if params.MeanExec <= 0 || params.SlackMax < params.SlackMin {

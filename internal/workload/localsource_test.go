@@ -35,8 +35,7 @@ type LocalParams struct {
 	// bursts and ramps); nil keeps the stream stationary.
 	Mod RateModulator
 	// Pool optionally recycles retired tasks instead of allocating a
-	// fresh Task per arrival. Nil allocates; results are identical
-	// either way.
+	// fresh Task per arrival. Nil allocates.
 	Pool *task.Pool
 }
 
@@ -115,9 +114,12 @@ func (s *LocalSource) arrive() {
 	now := s.eng.Now()
 	ex := sampleDemand(s.params.Demand, s.r, s.params.MeanExec)
 	sl := s.r.Uniform(s.params.SlackMin, s.params.SlackMax)
-	// The pool hands back a zeroed task; every non-zero field of a local
-	// task is assigned here, in the same draw order as the unpooled path.
-	t := s.params.Pool.Get()
+	// The task starts zeroed; every non-zero field of a local task is
+	// assigned here.
+	t := &task.Task{}
+	if s.params.Pool != nil {
+		t = s.params.Pool.Get()
+	}
 	t.ID = s.nextID()
 	t.Class = task.Local
 	t.Stage = -1

@@ -67,18 +67,10 @@ func WithProgress(fn func(done, total int)) RunOption { return session.WithProgr
 // forces the sequential path.
 func WithTrace(rec *TraceRecorder) RunOption { return session.WithTrace(rec) }
 
-// WithEventQueue pins the engine's pending-event structure; results are
-// byte-identical across kinds.
-func WithEventQueue(kind EventQueueKind) RunOption { return session.WithEventQueue(kind) }
-
-// WithPoolingDisabled runs on the pure allocation path (the reference
-// path the pooled one is tested against); results are bit-identical.
-func WithPoolingDisabled() RunOption { return session.WithPoolingDisabled() }
-
 // MetricsSnapshot is a point-in-time view of a session's runtime
 // metrics, returned by Session.Snapshot: engine counters accumulated
 // over every finished replication (deterministic — identical for a
-// given workload at any parallelism, queue kind, or backend),
+// given workload at any parallelism or backend),
 // job/in-flight/pool gauges, and per-worker coordinator stats on the
 // multi-process backend. WritePrometheus renders it in Prometheus text
 // exposition format; the CLIs' -metrics-addr flag serves it live.

@@ -27,8 +27,7 @@ func TestRecordWorkingSet65536(t *testing.T) {
 		t.Skip("set RECORD_WORKINGSET=1 to record the 65536-node working-set profile")
 	}
 	cfg := BaselineConfig()
-	cfg.Nodes = 65536
-	cfg.EventQueue = EventQueueLadder
+	cfg.Nodes = 65536 // far past the promotion threshold: the ladder queue
 	cfg.Horizon = 30
 	cfg.Warmup = 0.3
 
