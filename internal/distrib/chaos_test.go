@@ -80,6 +80,9 @@ func TestChaosDeterminism(t *testing.T) {
 // TestChaosCancellationPrefix cancels mid-run while worker kills are
 // armed: the partial result must still be the exact contiguous seed
 // prefix of the reference, every returned replication bit-identical.
+// The cancel fires on the third streamed result. Items arrive in seed
+// order, so seeds 0..2 have finished by then and the prefix is never
+// empty, even when a kill delays the seed-0 chunk past later chunks.
 func TestChaosCancellationPrefix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -99,12 +102,17 @@ func TestChaosCancellationPrefix(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := s.Run(ctx, session.Job{Config: cfg, Reps: reps},
-		session.WithProgress(func(done, total int) {
-			if done == 3 {
-				cancel()
-			}
-		}))
+	st, err := s.Stream(ctx, session.Job{Config: cfg, Reps: reps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	for range st.Items() {
+		if streamed++; streamed == 3 {
+			cancel()
+		}
+	}
+	res, err := st.Result()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
