@@ -59,7 +59,6 @@ type Workspace struct {
 	localHash []uint64 // cached rng.StreamHash("local-<i>")
 	global    workload.GlobalSource
 	globalRng rng.Source
-	srcEng    *sim.Engine // engine the warm sources are registered on
 }
 
 // NewWorkspace returns an empty workspace; the first run populates it.
@@ -211,9 +210,14 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 		ws = NewWorkspace()
 	}
 	if ws.eng == nil {
+		// A workspace keeps one engine for life, so its warm sources
+		// bind to it once; Configure and Reconfigure re-register their
+		// handlers every run (Reset clears registrations).
 		ws.eng = sim.New()
 		ws.pool = &task.Pool{}
 		ws.graphs = &task.GraphPool{}
+		ws.fleet = workload.NewLocalFleet(ws.eng)
+		ws.global.Init(ws.eng)
 	} else {
 		ws.eng.Reset()
 	}
@@ -320,20 +324,9 @@ func RunWith(cfg Config, ws *Workspace) (*Metrics, error) {
 	env.mgr = mgr
 
 	// The warm path reuses the workspace's local-stream fleet and RNG
-	// streams; (re)bind them when the node count or the engine changed
-	// (a fresh engine invalidates the sources' callback bindings for
-	// good — re-registration per run is handled inside Configure and
-	// Reconfigure, which must see the same engine object). All per-node
-	// stream state lives in the fleet's contiguous tables: setup touches
-	// one allocation per table, not one per node.
-	if ws.fleet == nil {
-		ws.fleet = workload.NewLocalFleet(eng)
-	}
-	if ws.srcEng != eng {
-		ws.srcEng = eng
-		ws.fleet.Init(eng)
-		ws.global.Init(eng)
-	}
+	// stream hashes, rebuilding the hashes only when the node count
+	// changed. All per-node stream state lives in the fleet's contiguous
+	// tables: setup touches one allocation per table, not one per node.
 	if len(ws.localHash) != cfg.Nodes {
 		ws.localHash = make([]uint64, cfg.Nodes)
 		for i := range ws.localHash {
