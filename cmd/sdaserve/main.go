@@ -24,7 +24,7 @@
 // A job spec looks like:
 //
 //	{"preset": "burst", "horizon": 20000, "nodes": 6,
-//	 "ssp": "LLF", "psp": "DIV-ED", "seed": 1, "reps": 8}
+//	 "ssp": "EQF", "psp": "DIV-1", "seed": 1, "reps": 8}
 //
 // Responses are a pure function of the spec: the same job answered
 // fresh, from cache, or by remote workers produces byte-identical
