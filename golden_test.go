@@ -42,45 +42,27 @@ const (
 	goldenPresetNodes   = 1024
 	goldenPresetHorizon = 250
 	goldenPresetReps    = 2
+	// Plain runs (goldenRuns) run at this topology and horizon.
+	goldenRunNodes   = 600
+	goldenRunHorizon = 600
+	goldenRunReps    = 2
 )
 
 // goldenPresets lists every built-in scenario preset.
 var goldenPresets = []string{"burst", "heavytail", "outage", "ramp", "storm"}
 
-// goldenRun is a plain (scenario-free) job pinned for a code path the
-// experiments and presets reach only lightly.
-type goldenRun struct {
-	name string
-	cfg  func() SimConfig
-	reps int
-	// promotes requires the event queue to move from the heap to the
-	// ladder in every replication, so the case keeps covering the
-	// promotion path.
-	promotes bool
-}
-
-// goldenRuns pins two large-topology paths: a 600-node run whose event
-// queue promotes to the ladder, and the tardy-abort path at the same
-// scale, where aborted global instances recycle task objects while
-// their queued siblings still drain.
-var goldenRuns = []goldenRun{
-	{name: "run-promote-600", reps: 2, promotes: true, cfg: func() SimConfig {
-		cfg := BaselineConfig()
-		cfg.Nodes = 600
-		cfg.Horizon = 600
-		cfg.Load = 0.7
-		cfg.SSP, cfg.PSP = "EQF", "DIV-1"
-		return cfg
-	}},
-	{name: "run-abort-600", reps: 2, promotes: true, cfg: func() SimConfig {
-		cfg := BaselineConfig()
-		cfg.Nodes = 600
-		cfg.Horizon = 600
-		cfg.Load = 0.8
-		cfg.TardyAbort = true
-		cfg.SSP, cfg.PSP = "EQF", "DIV-1"
-		return cfg
-	}},
+// goldenRuns are plain (scenario-free) jobs at 600 nodes, EQF/DIV-1:
+// large enough that every replication's event queue promotes from the
+// heap to the ladder. One runs at load 0.7; the other takes the
+// tardy-abort path at load 0.8, where aborted global instances recycle
+// task objects while their queued siblings still drain.
+var goldenRuns = []struct {
+	name       string
+	load       float64
+	tardyAbort bool
+}{
+	{"run-promote-600", 0.7, false},
+	{"run-abort-600", 0.8, true},
 }
 
 // runCSV renders one row per replication: every count and mean a
@@ -166,15 +148,17 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{
 			name: r.name,
 			csv: func(ctx context.Context, sess *Session) (string, error) {
-				res, err := sess.Run(ctx, Job{Config: r.cfg(), Reps: r.reps})
+				cfg := BaselineConfig()
+				cfg.Nodes, cfg.Horizon = goldenRunNodes, goldenRunHorizon
+				cfg.Load, cfg.TardyAbort = r.load, r.tardyAbort
+				cfg.SSP, cfg.PSP = "EQF", "DIV-1"
+				res, err := sess.Run(ctx, Job{Config: cfg, Reps: goldenRunReps})
 				if err != nil {
 					return "", err
 				}
-				if r.promotes {
-					for i, m := range res.Runs {
-						if m.Engine.QueuePromotions == 0 {
-							return "", fmt.Errorf("replication %d never promoted its event queue", i)
-						}
+				for i, m := range res.Runs {
+					if m.Engine.QueuePromotions == 0 {
+						return "", fmt.Errorf("replication %d never promoted its event queue", i)
 					}
 				}
 				return runCSV(res), nil
